@@ -4,10 +4,12 @@ An integral over the underlying space is recovered as a sum over fixed
 points: numerator at the point divided by the product of its weight
 forms.  Two evaluation strategies are provided and must agree:
 
-* "generic": evaluate every term at a deterministic generic rational
-  point and cross-check the total at a second one.  Sound for numerators
-  of total degree at most the half dimension, where the sum is a constant
-  rational function; higher degrees are rejected.
+* "generic": evaluate every term at a deterministic generic integer point
+  and cross-check the total at a second one.  Sound for numerators of
+  total degree at most the half dimension, where the sum is a constant
+  rational function; higher degrees are rejected.  Each call builds one
+  integer table per point (``_Kernel``) and reads every class it needs
+  from it: a class prod e_{lambda_i} is one integer sum over fixed points.
 * "expanded": carry out the sum as factored rational functions with
   exact cancellation.  Slower, but makes no genericity assumption and
   doubles as the oracle for the generic mode.
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from math import lcm, prod
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .model import FixedPointData, ValidationReport, _single
 from .weights import (
@@ -78,15 +81,39 @@ def localize_sum(data: FixedPointData,
         for p in sorted(data.points, key=lambda p: p.id))
 
 
-def _evaluated_sum(data: FixedPointData, numerators: Mapping[str, SparsePoly],
-                   rho: Sequence[int]) -> Fraction:
-    total = Fraction(0)
-    for p in data.points:
-        den = 1
-        for w in p.weights:
-            den *= dot(rho, w)
-        total += poly_eval(numerators[p.id], rho) / den
-    return total
+class _Kernel:
+    """Integer localization tables of one dataset at its two generic points.
+
+    Per point rho and fixed point p: the id of p, e_0..e_upto of the
+    pairings <rho, w> (plain ints) and the multiplier L / prod <rho, w>,
+    where L, the common denominator, is the lcm of those products.
+    Evaluation at rho commutes with products and with e_j, so a class read
+    from the table equals integrate() on its symbolic numerators.
+    """
+
+    def __init__(self, data: FixedPointData, upto: int):
+        schedule = generic_points(set(data.all_weights()), data.torus_rank)
+        self.tables = []
+        for rho in (next(schedule), next(schedule)):
+            pairings = [[dot(rho, w) for w in p.weights] for p in data.points]
+            common = lcm(*map(prod, pairings))
+            rows = [(p.id, elem_sym_scalars(ps, upto), common // prod(ps))
+                    for p, ps in zip(data.points, pairings)]
+            self.tables.append((rho, rows, common))
+
+    def value(self, what: str, numerator: Callable[..., Fraction | int]) -> Fraction:
+        """Sum of numerator(rho, id, e) over the points, equal at both rho."""
+        v1, v2 = (Fraction(sum(numerator(rho, pid, e) * mult
+                               for pid, e, mult in rows), common)
+                  for rho, rows, common in self.tables)
+        if v1 != v2:
+            raise InconsistencyError(
+                f"{what} differs between generic points: {v1} vs {v2}")
+        return v1
+
+    def product(self, what: str, partition: Partition) -> Fraction:
+        """The class prod e_{lambda_i} of a partition."""
+        return self.value(what, lambda rho, pid, e: prod(e[j] for j in partition))
 
 
 def integrate(data: FixedPointData, numerators: Mapping[str, SparsePoly],
@@ -109,13 +136,8 @@ def integrate(data: FixedPointData, numerators: Mapping[str, SparsePoly],
         raise ValueError(
             f"numerator degree {deg} exceeds half_dim {data.half_dim}; "
             "generic evaluation is unsound here, use mode='expanded'")
-    schedule = generic_points(set(data.all_weights()), data.torus_rank)
-    v1 = _evaluated_sum(data, numerators, next(schedule))
-    v2 = _evaluated_sum(data, numerators, next(schedule))
-    if v1 != v2:
-        raise InconsistencyError(
-            f"localized sum differs between generic points: {v1} vs {v2}")
-    return v1
+    return _Kernel(data, 0).value(
+        "localized sum", lambda rho, pid, e: poly_eval(numerators[pid], rho))
 
 
 # ---------------------------------------------------------------------------
@@ -137,35 +159,26 @@ def chern_numerators(data: FixedPointData,
     return out
 
 
-def _chern_generic_value(data: FixedPointData, partition: Partition) -> Fraction:
-    """Generic-mode Chern value via scalar elementary symmetric functions.
+def _chern_evaluator(data: FixedPointData, mode: str) -> Callable[[Partition], int]:
+    """Integer Chern number of a sorted partition of half_dim.
 
-    Evaluation commutes with products and with elementary symmetric
-    polynomials, so this equals integrate() on the expanded numerators;
-    the equivalence is pinned down by the tests.
+    The generic mode builds its tables here, once for all partitions.
     """
-    schedule = generic_points(set(data.all_weights()), data.torus_rank)
-    upto = max(partition) if partition else 0
-    values = []
-    for _ in range(2):
-        rho = next(schedule)
-        total = Fraction(0)
-        for p in data.points:
-            pairings = [dot(rho, w) for w in p.weights]
-            elems = elem_sym_scalars(pairings, upto)
-            num = Fraction(1)
-            for part in partition:
-                num *= elems[part]
-            den = 1
-            for v in pairings:
-                den *= v
-            total += num / den
-        values.append(total)
-    if values[0] != values[1]:
-        raise InconsistencyError(
-            f"Chern value for {partition} differs between generic points: "
-            f"{values[0]} vs {values[1]}")
-    return values[0]
+    if mode not in ("generic", "expanded"):
+        raise ValueError(f"unknown mode {mode!r}")
+    kernel = _Kernel(data, data.half_dim) if mode == "generic" else None
+
+    def number(part: Partition) -> int:
+        if kernel is not None:
+            v = kernel.product(f"Chern value for {part}", part)
+        else:
+            v = integrate(data, chern_numerators(data, part), mode)
+        if v.denominator != 1:
+            raise InconsistencyError(
+                f"Chern number for {part} is not an integer: {v}")
+        return int(v)
+
+    return number
 
 
 def chern_number(data: FixedPointData, partition: Sequence[int],
@@ -175,16 +188,7 @@ def chern_number(data: FixedPointData, partition: Sequence[int],
     if any(x < 1 for x in part) or sum(part) != data.half_dim:
         raise ValueError(
             f"partition {tuple(partition)} does not sum to half_dim {data.half_dim}")
-    if mode == "generic":
-        value = _chern_generic_value(data, part)
-    elif mode == "expanded":
-        value = integrate(data, chern_numerators(data, part), mode="expanded")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if value.denominator != 1:
-        raise InconsistencyError(
-            f"Chern number for {part} is not an integer: {value}")
-    return int(value)
+    return _chern_evaluator(data, mode)(part)
 
 
 @dataclass(frozen=True)
@@ -200,11 +204,12 @@ class ChernReport:
 
 def chern_report(data: FixedPointData, mode: str = "generic") -> ChernReport:
     """All Chern numbers of the data, with per-partition failure capture."""
+    number = _chern_evaluator(data, mode)
     values: Dict[Partition, int] = {}
     failures = []
     for part in partitions(data.half_dim):
         try:
-            values[part] = chern_number(data, part, mode)
+            values[part] = number(part)
         except InconsistencyError as exc:
             failures.append((part, str(exc)))
     return ChernReport(data.half_dim, values, tuple(failures))
@@ -214,21 +219,14 @@ def check_lower_degree_vanishing(data: FixedPointData,
                                  mode: str = "generic") -> ValidationReport:
     """Localized integrals of all classes of degree below half_dim must vanish."""
     n = data.half_dim
-    k = data.torus_rank
-    cache: Dict[str, list[SparsePoly]] = {
-        p.id: elem_sym_all(p.weights, min(max(n - 1, 0), n), k)
-        for p in data.points}
+    kernel = _Kernel(data, max(n - 1, 0)) if mode == "generic" else None
     witnesses = []
     for m in range(n):
         for part in partitions(m):
-            numerators: Dict[str, SparsePoly] = {}
-            for p in data.points:
-                num = poly_const(k, 1)
-                for piece in part:
-                    num = poly_mul(num, cache[p.id][piece])
-                numerators[p.id] = num
             try:
-                value = integrate(data, numerators, mode)
+                value = (integrate(data, chern_numerators(data, part), mode)
+                         if kernel is None else
+                         kernel.product("localized sum", part))
             except InconsistencyError as exc:
                 witnesses.append((part, str(exc)))
                 continue
@@ -257,12 +255,13 @@ def compare_chern(data: FixedPointData, other: FixedPointData,
     if data.half_dim != other.half_dim:
         raise ValueError(
             f"half dimensions differ: {data.half_dim} vs {other.half_dim}")
+    numbers = (_chern_evaluator(data, mode), _chern_evaluator(other, mode))
     rows: Dict[Partition, Tuple[int | None, int | None]] = {}
     for part in partitions(data.half_dim):
         pair = []
-        for d in (data, other):
+        for number in numbers:
             try:
-                pair.append(chern_number(d, part, mode))
+                pair.append(number(part))
             except InconsistencyError:
                 pair.append(None)
         rows[part] = (pair[0], pair[1])

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .matching import maximum_matching
@@ -74,10 +75,12 @@ class FixedPointData:
         return tuple(sorted(p.id for p in self.points))
 
     def point(self, pid: str) -> FixedPoint:
-        for p in self.points:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
+        return self._by_id[pid]
+
+    @cached_property
+    def _by_id(self) -> Dict[str, FixedPoint]:
+        # first point wins on a repeated id; not a field, so eq and repr skip it
+        return {p.id: p for p in reversed(self.points)}
 
     def all_weights(self) -> Tuple[Weight, ...]:
         return tuple(w for p in self.points for w in p.weights)
@@ -166,6 +169,8 @@ def parse(raw: bytes | str) -> Tuple[FixedPointData, Multigraph | None]:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON document is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     unknown = set(doc) - TOP_LEVEL_KEYS

@@ -333,13 +333,12 @@ def elem_sym_all(forms: Sequence[Weight], upto: int,
     return levels
 
 
-def elem_sym_scalars(values: Sequence[Scalar], upto: int) -> list[Fraction]:
-    """e_0..e_upto of a list of scalars (same recurrence, no polynomials)."""
-    levels = [Fraction(1)] + [Fraction(0)] * upto
+def elem_sym_scalars(values: Sequence[Scalar], upto: int) -> list[Scalar]:
+    """e_0..e_upto of a list of scalars; integer values give ``int`` results."""
+    levels: list[Scalar] = [1] + [0] * upto
     for v in values:
-        v = Fraction(v)
         for d in range(upto, 0, -1):
-            levels[d] = levels[d] + v * levels[d - 1]
+            levels[d] += v * levels[d - 1]
     return levels
 
 

@@ -272,3 +272,10 @@ class TestUsageAndIo:
         path.write_text("not json at all")
         code, _, err = run(capsys, "validate", str(path))
         assert code == 4
+
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 4
+        assert "nested too deeply" in err

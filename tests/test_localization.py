@@ -1,5 +1,6 @@
 """Localization engine: integrals, Chern numbers, modes, consistency checks."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from gkmkit import (
     s6_blowup,
     transform,
 )
+from gkmkit import localization
 from gkmkit.weights import poly_const, poly_const_value
 
 from conftest import random_unimodular
@@ -262,3 +264,57 @@ class TestCompare:
     def test_half_dim_mismatch(self):
         with pytest.raises(ValueError, match="half dimensions"):
             compare_chern(cpn(2).data, cpn(3).data)
+
+
+class TestKernel:
+    """The shared per-point integer table behind every generic-mode class."""
+
+    def test_every_partition_equals_expanded_sum(self, rng):
+        datasets = [entry.data for entry in all_entries()]
+        datasets += [transform(cpn(n).data, random_unimodular(rng, n))
+                     for n in (1, 2, 3, 4) for _ in range(2 if n < 4 else 1)]
+        for data in datasets:
+            values = chern_report(data).values
+            for part in partitions(data.half_dim):
+                exact = integrate(data, chern_numerators(data, part), "expanded")
+                assert values[part] == exact, (data, part)
+
+    def test_corrupted_messages_pinned(self):
+        assert chern_report(corrupted_cp2()).failures == (
+            ((1, 1), "Chern value for (1, 1) differs between generic points: "
+                     "26/3 vs 91/10"),)
+        rep = check_lower_degree_vanishing(corrupted_cp2())
+        assert rep.result("lower_degree_vanishing").witnesses == (
+            ((), "localized sum differs between generic points: -1/3 vs -1/10"),
+            ((1,), "localized sum differs between generic points: 2/3 vs 3/10"))
+
+    def test_non_integral_messages_pinned(self):
+        data = FixedPointData(1, 2, (FixedPoint("p0", ((1,), (1,))),
+                                     FixedPoint("p1", ((-1,), (-2,)))))
+        rep = chern_report(data)
+        assert rep.values == {(2,): 2}
+        assert rep.failures == (
+            ((1, 1), "Chern number for (1, 1) is not an integer: 17/2"),)
+        vanishing = check_lower_degree_vanishing(data)
+        assert vanishing.result("lower_degree_vanishing").witnesses == (
+            ((), "localized sum differs between generic points: 3/2 vs 3/8"),
+            ((1,), "localized sum differs between generic points: 1/2 vs 1/4"))
+
+    def test_one_schedule_per_call_and_no_symbolic_products(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(localization, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(localization, name, wrapper)
+
+        counted("generic_points")
+        counted("poly_mul")
+        assert chern_report(cpn(6).data).ok
+        assert calls == {"generic_points": 1}
+        calls.clear()
+        assert check_lower_degree_vanishing(cpn(5).data).passed
+        assert calls == {"generic_points": 1}

@@ -390,6 +390,19 @@ class TestTransforms:
             assert check_weight_sum_zero(data).passed
             assert check_gkm(data).passed
 
+    def test_point_lookup_by_id(self):
+        data = cpn(3).data
+        before = repr(data)
+        assert data.point("p2") is data.points[2]
+        with pytest.raises(KeyError):
+            data.point("q")
+        assert repr(data) == before
+        assert data == cpn(3).data and hash(data) == hash(cpn(3).data)
+
+    def test_point_lookup_first_of_repeated_id(self):
+        first, second = FixedPoint("p", ((1,),)), FixedPoint("p", ((-1,),))
+        assert FixedPointData(1, 1, (first, second)).point("p") is first
+
 
 class TestClassification:
     def test_point(self):

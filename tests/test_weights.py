@@ -214,6 +214,11 @@ class TestPolynomials:
             for j in range(5):
                 assert poly_eval(elem_sym(j, forms), rho) == scal[j]
 
+    def test_elem_sym_scalars_stay_integer(self):
+        levels = elem_sym_scalars([2, -3, 5], 4)
+        assert levels == [1, 4, -11, -30, 0]
+        assert all(type(v) is int for v in levels)
+
     def test_division_exact(self):
         p = {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
         assert poly_div_linear(p, (1, -1)) == {(1, 0): Fraction(1),
