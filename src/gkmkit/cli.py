@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("petrie", help="compare against the linear model")
     p.add_argument("file")
     p.add_argument("--up-to-gl", action="store_true",
-                   help="also compare after normalizing by the recovered basis")
+                   help="also report that normalizing by the recovered basis "
+                        "gives the standard model")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_petrie)
 

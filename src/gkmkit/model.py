@@ -384,15 +384,13 @@ def check_describes(data: FixedPointData, graph: Multigraph) -> ValidationReport
         witnesses.append(("vertex_set", tuple(sorted(graph.vertex_ids)),
                           data.ids()))
     else:
+        induced: Dict[str, list[Weight]] = {pid: [] for pid in graph.vertex_ids}
+        for e in graph.edges:
+            induced[e.from_id].append(e.label)
+            induced[e.to_id].append(neg(e.label))
         for p in sorted(data.points, key=lambda p: p.id):
-            induced: list[Weight] = []
-            for e in graph.edges:
-                if e.from_id == p.id:
-                    induced.append(e.label)
-                if e.to_id == p.id:
-                    induced.append(neg(e.label))
-            if sorted(induced) != sorted(p.weights):
-                witnesses.append((p.id, tuple(sorted(induced)),
+            if sorted(induced[p.id]) != sorted(p.weights):
+                witnesses.append((p.id, tuple(sorted(induced[p.id])),
                                   tuple(sorted(p.weights))))
     multiset = _single("describes", not witnesses, tuple(witnesses))
     return combine_reports(multiset, check_edge_congruence(data, graph))
@@ -442,9 +440,9 @@ def build_multigraph(data: FixedPointData) -> Multigraph:
     for rep in sorted(plus):
         left = plus[rep]
         right = minus[rep]
-        residues: Dict[str, Tuple[Weight, ...]] = {}
-        for p in order:
-            residues[p.id] = tuple(sorted(residue_mod(w, rep) for w in p.weights))
+        residues = {pid: tuple(sorted(residue_mod(w, rep)
+                                      for w in data.point(pid).weights))
+                    for pid in {*left, *right}}
 
         def admissible(u: str, v: str) -> bool:
             return residues[u] == residues[v]

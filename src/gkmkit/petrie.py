@@ -3,13 +3,15 @@
 A rank-n torus manifold has at least n+1 fixed points; the linear action
 on projective n-space attains the bound.  Given flagged data with exactly
 n+1 points, this module decides whether the data is, after relabeling,
-exactly that of a linear projective-space model: pick a base point, try
-to assign its n weights to the remaining points (each of which must carry
-the negated weight), and verify that every point's multiset matches the
-model pattern {-w_i} + {w_j - w_i : j != i}.  The verdict is reproduced
-from every base-point choice, and on success the report carries the
-recovered character basis, the lattice-simplex realization, the
-divisor relations of the induced complete graph, and the invariant table.
+exactly that of a linear projective-space model.  Pick a base point with
+weights b_1..b_n summing to S.  In the model, the point whose character
+is b carries {-b} + {b' - b : b' != b}, and these weights sum to
+S - (n+1) b.  So every other point's base weight is read off its own
+weight sum, the assignment is unique when it exists, and one pass over
+the points checks each multiset against its pattern.  On success the
+report carries the recovered character basis, the lattice-simplex
+realization, the divisor relations of the induced complete graph, and
+the invariant table.
 """
 
 from __future__ import annotations
@@ -19,25 +21,17 @@ from typing import Dict, Tuple
 
 from .genus import ChiYPolynomial, chi_y
 from .localization import chern_report
-from .model import (
-    FixedPointData,
-    Multigraph,
-    relabel,
-    transform,
-)
+from .model import FixedPointData, Multigraph
 from .weights import (
     Weight,
     frac_add,
     fraction,
     is_unimodular_basis,
-    mat_inverse_unimodular,
     neg,
     parallel,
     poly_const,
     sub,
 )
-
-from .catalog import cpn
 
 
 @dataclass(frozen=True)
@@ -92,59 +86,29 @@ def triangle_identity(w0i: Weight, w0j: Weight, wij: Weight) -> bool:
 def _reconstruct(data: FixedPointData, base_id: str) -> Tuple[Dict[str, Weight] | None, str]:
     """Assign the base point's weights to the other points, model-style.
 
-    Returns (assignment, witness): either a map other_id -> w with
-    weights(other) == {-w} + {w' - w : other'}, or None plus a reason.
-    Backtracks over candidate assignments since a negated base weight may
-    occur at several points.
+    Returns (assignment, witness): either a map other_id -> b with
+    weights(other) == {-b} + {b' - b : b' != b} and b used once, or None
+    plus a reason.  The point's weight sum S - (n+1) b forces b.
     """
-    base = data.point(base_id)
-    others = [pid for pid in data.ids() if pid != base_id]
-    bw = list(base.weights)
-    candidates: Dict[str, list[int]] = {}
+    base = data.point(base_id).weights
+    n = len(base)
+    total = [sum(col) for col in zip(*base)]
+    unused = set(base)
+    others = list(data.ids())
+    others.remove(base_id)  # one occurrence: a repeated id fails below
+    assignment: Dict[str, Weight] = {}
     for pid in others:
-        have = set(data.point(pid).weights)
-        candidates[pid] = [i for i, w in enumerate(bw) if neg(w) in have]
-        if not candidates[pid]:
-            return None, (f"no weight of base {base_id} occurs negated at {pid}")
-    # tightest candidate lists first, ids as tie-break, for a deterministic search
-    order = sorted(others, key=lambda pid: (len(candidates[pid]), pid))
-    assign: Dict[str, int] = {}
-    used = [False] * len(bw)
-    witness = ""
-
-    def verify() -> bool:
-        nonlocal witness
-        w0 = {pid: bw[assign[pid]] for pid in others}
-        for pid in others:
-            expected = [neg(w0[pid])]
-            expected.extend(sub(w0[q], w0[pid]) for q in others if q != pid)
-            if sorted(expected) != sorted(data.point(pid).weights):
-                if not witness:
-                    witness = (f"weights at {pid} do not match the model pattern "
-                               f"for base {base_id}")
-                return False
-        return True
-
-    def place(t: int) -> bool:
-        if t == len(order):
-            return verify()
-        pid = order[t]
-        for i in candidates[pid]:
-            if used[i]:
-                continue
-            used[i] = True
-            assign[pid] = i
-            if place(t + 1):
-                return True
-            used[i] = False
-            del assign[pid]
-        return False
-
-    if place(0):
-        return {pid: bw[assign[pid]] for pid in others}, ""
-    if not witness:
-        witness = f"no consistent assignment of base {base_id} weights"
-    return None, witness
+        weights = data.point(pid).weights
+        # floor division: a non-integral b fails the pattern check, whose
+        # weights sum to exactly S - (n+1) b
+        b = tuple((s - sum(col)) // (n + 1) for s, col in zip(total, zip(*weights)))
+        pattern = [neg(b)] + [sub(c, b) for c in base if c != b]
+        if b not in unused or sorted(pattern) != sorted(weights):
+            return None, (f"weights at {pid} do not match the model pattern "
+                          f"for base {base_id}")
+        unused.remove(b)
+        assignment[pid] = b
+    return assignment, ""
 
 
 def _precondition_witness(data: FixedPointData) -> str | None:
@@ -169,34 +133,14 @@ def petrie_verify(data: FixedPointData, graph: Multigraph | None = None,
     if reason is not None:
         return PetrieReport("precondition-failed", witness=reason)
 
-    ids = data.ids()
-    base_id = ids[0]
+    base_id = data.ids()[0]
     assignment, witness = _reconstruct(data, base_id)
-
-    # the verdict may not depend on the base point; re-run from every other one
-    for other_base in ids[1:]:
-        other_assignment, other_witness = _reconstruct(data, other_base)
-        if (other_assignment is None) != (assignment is None):
-            return PetrieReport(
-                "no-match", base_point=base_id,
-                witness=f"verdict differs from base {other_base}: "
-                        f"{other_witness or 'matched'}")
-
     if assignment is None:
         return PetrieReport("no-match", base_point=base_id, witness=witness)
 
-    others = [pid for pid in ids if pid != base_id]
-    basis = tuple(assignment[pid] for pid in others)
+    basis = tuple(assignment.values())
     relabeling = {base_id: 0}
-    relabeling.update({pid: i + 1 for i, pid in enumerate(others)})
-
-    # pairwise divisor relations must satisfy the three-term sum identity
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if not triangle_identity(basis[i], basis[j], sub(basis[j], basis[i])):
-                return PetrieReport(
-                    "no-match", base_point=base_id,
-                    witness=f"triangle identity fails for {basis[i]}, {basis[j]}")
+    relabeling.update({pid: i + 1 for i, pid in enumerate(assignment)})
 
     graph_consistent: bool | None = None
     if graph is not None:
@@ -207,10 +151,6 @@ def petrie_verify(data: FixedPointData, graph: Multigraph | None = None,
                 "no-match", base_point=base_id, basis=basis,
                 relabeling=relabeling, graph_consistent=False,
                 witness=graph_witness)
-
-    gl_equal: bool | None = None
-    if up_to_gl:
-        gl_equal = _gl_normalized_equal(data, relabeling, basis)
 
     genus = chi_y(data)
     chern = chern_report(data)
@@ -225,7 +165,9 @@ def petrie_verify(data: FixedPointData, graph: Multigraph | None = None,
     return PetrieReport(
         "match", base_point=base_id, basis=basis, relabeling=relabeling,
         simplex=simplex, invariants=invariants,
-        graph_consistent=graph_consistent, gl_normalized_equal=gl_equal)
+        graph_consistent=graph_consistent,
+        # the inverse basis maps matched data onto the standard model
+        gl_normalized_equal=True if up_to_gl else None)
 
 
 def _character_of(pid: str, relabeling: Dict[str, int],
@@ -264,19 +206,6 @@ def _graph_consistent(data: FixedPointData, graph: Multigraph,
     return True, ""
 
 
-def _gl_normalized_equal(data: FixedPointData, relabeling: Dict[str, int],
-                         basis: Tuple[Weight, ...]) -> bool:
-    """Transform by the inverse basis matrix and compare with the standard model."""
-    n = data.half_dim
-    columns = tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
-    inverse = mat_inverse_unimodular(columns)
-    normalized = transform(data, inverse)
-    renamed = relabel(normalized, {pid: f"p{idx}" for pid, idx in relabeling.items()})
-    model = cpn(n).data
-    by_id = {p.id: sorted(p.weights) for p in renamed.points}
-    return all(sorted(p.weights) == by_id[p.id] for p in model.points)
-
-
 def gkm_relations(report: PetrieReport) -> Tuple[Relation, ...]:
     """Divisor relations of the matched model: one per unordered point pair."""
     if not report.matched or report.relabeling is None or report.basis is None:
@@ -295,15 +224,9 @@ def gkm_relations(report: PetrieReport) -> Tuple[Relation, ...]:
 def simplex_realization(report: PetrieReport) -> Tuple[Weight, ...]:
     """Lattice simplex whose vertices realize the matched model.
 
-    Vertices are the origin plus the recovered basis; each relation's
-    divisor is re-checked to be the difference of its endpoint vertices.
+    Vertices are the origin plus the recovered basis, so each relation's
+    divisor is the difference of its endpoint vertices.
     """
-    if not report.matched or report.basis is None or report.simplex is None:
+    if not report.matched or report.simplex is None:
         raise ValueError("simplex requires a match verdict")
-    verts = report.simplex
-    for rel in gkm_relations(report):
-        i = report.relabeling[rel.from_id]
-        j = report.relabeling[rel.to_id]
-        if sub(verts[j], verts[i]) != rel.divisor:
-            raise AssertionError("simplex vertices do not realize the relations")
-    return verts
+    return report.simplex

@@ -380,20 +380,17 @@ def fraction(numerator: SparsePoly, forms: Sequence[Weight]) -> FactoredFraction
 
 
 def _cancel(num: SparsePoly, den: list[Weight]) -> tuple[SparsePoly, Tuple[Weight, ...]]:
-    den = list(den)
-    progress = True
-    while progress and num:
-        progress = False
-        for i, w in enumerate(den):
-            q = poly_div_linear(num, w)
-            if q is not None:
-                num = q
-                del den[i]
-                progress = True
-                break
+    # one pass suffices: a factor that does not divide num cannot divide num / v
     if not num:
-        den = []
-    return num, tuple(sorted(den))
+        return num, ()
+    kept = []
+    for w in den:
+        q = poly_div_linear(num, w)
+        if q is None:
+            kept.append(w)
+        else:
+            num = q
+    return num, tuple(sorted(kept))
 
 
 def frac_zero() -> FactoredFraction:

@@ -43,6 +43,14 @@ def corrupted_cp2() -> FixedPointData:
     return FixedPointData(2, 2, tuple(pts))
 
 
+def two_point_luck() -> FixedPointData:
+    """Rank-2 data whose c1^2 sum is 8 at (1,2) and (1,3) but 872/105 at (1,4)."""
+    return FixedPointData(2, 2, (
+        FixedPoint("p0", ((-3, 3), (3, 1))),
+        FixedPoint("p1", ((3, -3), (-1, -1))),
+        FixedPoint("p2", ((-3, -1), (1, 1)))))
+
+
 class TestPartitions:
     def test_zero(self):
         assert partitions(0) == ((),)
@@ -235,6 +243,16 @@ class TestCorruptedData:
 
     def test_top_class_still_counts_points(self):
         assert chern_number(corrupted_cp2(), (2,)) == 3
+
+    def test_expanded_refuses_two_point_luck(self):
+        with pytest.raises(InconsistencyError, match="not a constant"):
+            chern_number(two_point_luck(), (1, 1), "expanded")
+
+    @pytest.mark.xfail(strict=True, reason="generic mode certifies a value that "
+                       "agrees at its two points; needs a residue certificate")
+    def test_generic_refuses_two_point_luck(self):
+        with pytest.raises(InconsistencyError):
+            chern_number(two_point_luck(), (1, 1), "generic")
 
     def test_report_captures_failure(self):
         rep = chern_report(corrupted_cp2())

@@ -1,6 +1,7 @@
 """Minimal-data model recognition: reconstruction, relations, invariants."""
 
 import random
+import time
 
 import pytest
 
@@ -15,12 +16,13 @@ from gkmkit import (
     expected_chi_y,
     gkm_relations,
     petrie_verify,
+    relabel,
     s6,
     simplex_realization,
     transform,
     triangle_identity,
 )
-from gkmkit.weights import apply_matrix, sub
+from gkmkit.weights import apply_matrix, mat_inverse_unimodular, sub
 
 from conftest import mutate_one_weight, random_relabel, random_unimodular, shuffled
 
@@ -165,6 +167,14 @@ class TestVerifyRejections:
         assert report.verdict == "no-match"
         assert "p2" in report.witness
 
+    def test_repeated_point_is_no_match(self):
+        # p1 and p2 both fit the pattern of the same base weight
+        p1 = cpn(2).data.point("p1")
+        pts = cpn(2).data.points[:2] + (FixedPoint("p2", p1.weights),)
+        report = petrie_verify(FixedPointData(2, 2, pts, torus_manifold=True))
+        assert report.verdict == "no-match"
+        assert "p2" in report.witness
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_single_weight_mutants_never_match(self, n):
         rng = random.Random(7000 + n)
@@ -268,3 +278,88 @@ class TestRelationsAndSimplex:
         for r in rels:
             assert r.divisor in set(renamed.point(r.from_id).weights)
             assert tuple(-x for x in r.divisor) in set(renamed.point(r.to_id).weights)
+
+
+def ambiguous(rows, names=None) -> FixedPointData:
+    """Base point with basis weights b_i; n other points each carry every -b_i.
+
+    Every other point holds the negation of every base weight, so each
+    base weight is a candidate everywhere, yet no point has a model pattern.
+    """
+    n = len(rows)
+    negated = tuple(tuple(-a for a in b) for b in rows)
+    pts = (FixedPoint("base", tuple(rows)),) + tuple(
+        FixedPoint(f"q{i:02d}", negated) for i in range(n))
+    return FixedPointData(n, n, pts, torus_manifold=True)
+
+
+def basis_mutant(rng: random.Random, data: FixedPointData) -> FixedPointData:
+    """Replace w_k at one point by w_k + t*w_l: still a basis, no longer a model."""
+    i = rng.randrange(len(data.points))
+    p = data.points[i]
+    k, l = rng.sample(range(len(p.weights)), 2)
+    t = rng.choice((-2, -1, 1, 2))
+    ws = list(p.weights)
+    ws[k] = tuple(a + t * b for a, b in zip(ws[k], ws[l]))
+    pts = list(data.points)
+    pts[i] = FixedPoint(p.id, tuple(ws))
+    return FixedPointData(data.torus_rank, data.half_dim, tuple(pts),
+                          data.torus_manifold)
+
+
+def with_base(data: FixedPointData, pid: str) -> FixedPointData:
+    """Rename the points so that ``pid`` sorts first and becomes the base."""
+    return relabel(data, {q: "a" if q == pid else f"b{q}" for q in data.ids()})
+
+
+class TestAdversarialInput:
+    def test_ambiguous_n12_refused_quickly(self):
+        rng = random.Random(1212)
+        data = shuffled(rng, ambiguous(random_unimodular(rng, 12)))
+        start = time.perf_counter()
+        report = petrie_verify(data, up_to_gl=True)
+        elapsed = time.perf_counter() - start
+        assert report.verdict == "no-match"
+        assert report.base_point == "base"
+        assert any(pid in report.witness for pid in data.ids() if pid != "base")
+        assert elapsed < 1.0
+
+
+class TestBasePointInvariance:
+    """Every point, used as the base point, gives the same verdict."""
+
+    def _verdicts(self, data):
+        return {petrie_verify(with_base(data, pid)).verdict for pid in data.ids()}
+
+    def test_ambiguous_family(self):
+        rng = random.Random(1400)
+        for n in range(2, 7):
+            assert self._verdicts(ambiguous(random_unimodular(rng, n))) == {"no-match"}
+
+    def test_models_and_mutants(self):
+        rng = random.Random(1500)
+        for n in range(2, 6):
+            for _ in range(6):
+                moved = transform(cpn(n).data, random_unimodular(rng, n))
+                assert self._verdicts(moved) == {"match"}
+                assert self._verdicts(basis_mutant(rng, moved)) == {"no-match"}
+                verdicts = self._verdicts(mutate_one_weight(rng, moved))
+                assert len(verdicts) == 1 and "match" not in verdicts
+
+
+class TestGlNormalization:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_inverse_basis_maps_onto_standard_model(self, n):
+        rng = random.Random(1600 + n)
+        model = {p.id: sorted(p.weights) for p in cpn(n).data.points}
+        for _ in range(6):
+            moved = transform(cpn(n).data, random_unimodular(rng, n))
+            renamed, _ = random_relabel(rng, moved, prefix="g")
+            data = shuffled(rng, renamed)
+            report = petrie_verify(data, up_to_gl=True)
+            assert report.matched and report.gl_normalized_equal is True
+            columns = tuple(tuple(b[i] for b in report.basis) for i in range(n))
+            normalized = transform(data, mat_inverse_unimodular(columns))
+            back = relabel(normalized, {pid: f"p{idx}"
+                                        for pid, idx in report.relabeling.items()})
+            assert {p.id: sorted(p.weights) for p in back.points} == model
