@@ -3,8 +3,8 @@
 Subcommands: validate, genus, chern, petrie, graph, example.  Exit codes:
 0 success, 2 a semantic check failed (validation failure, no-match,
 non-integral or inconsistent value), 3 precondition violated, 4 unreadable
-or unparsable input, 64 usage error.  GKMKIT_MODE=generic|expanded picks
-the default localization mode.
+or unparsable input or unwritable output, 64 usage error.
+GKMKIT_MODE=generic|expanded picks the default localization mode.
 """
 
 from __future__ import annotations
@@ -94,6 +94,17 @@ def _load(path: str):
         raise _CliError(f"cannot read {path}: {exc}", EXIT_IO)
     except ParseError as exc:
         raise _CliError(f"cannot parse {path}: {exc}", EXIT_IO)
+
+
+def _write_out(text: str, path: str | None) -> None:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}", EXIT_IO)
 
 
 def _default_mode() -> str:
@@ -264,15 +275,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
             graph = build_multigraph(data)
         except (MatchingError, ValueError) as exc:
             raise _CliError(str(exc), EXIT_CHECK_FAILED)
-        loops = [e for e in graph.edges if e.from_id == e.to_id]
-        if loops:
+        if any(e.from_id == e.to_id for e in graph.edges):
             print("warning: built graph is not loop-free", file=sys.stderr)
-    out = _dot(graph) if args.format == "dot" else serialize(data, graph)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write_out(_dot(graph) if args.format == "dot" else serialize(data, graph), args.out)
     return EXIT_OK
 
 
@@ -292,12 +297,7 @@ def cmd_example(args: argparse.Namespace) -> int:
             entry = cat.fano(args.variant)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_PRECONDITION)
-    out = serialize(entry.data, entry.graph)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write_out(serialize(entry.data, entry.graph), args.out)
     return EXIT_OK
 
 

@@ -21,16 +21,18 @@ malformed input (wrong shapes, unparsable documents).
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Mapping, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
-from .matching import maximum_matching
 from .weights import (
     Weight,
     add,
+    apply_matrix,
     canonicalize,
     is_unimodular_basis,
     neg,
@@ -125,9 +127,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def failed(self) -> Tuple[CheckResult, ...]:
-        return tuple(r for r in self.results if not r.passed)
 
     def result(self, check: str) -> CheckResult:
         for r in self.results:
@@ -260,22 +259,16 @@ def serialize(data: FixedPointData, graph: Multigraph | None = None) -> str:
     for p in sorted(data.points, key=lambda p: p.id):
         ws = ",".join(_vec_json(w) for w in sorted(p.weights))
         pts.append(f'    {{"id": {json.dumps(p.id)}, "weights": [{ws}]}}')
-    body = ",\n".join(pts)
-    if graph is None:
-        lines.append('  "fixed_points": [')
-        lines.append(body)
-        lines.append("  ]")
-    else:
-        lines.append('  "fixed_points": [')
-        lines.append(body)
+    lines.append('  "fixed_points": [')
+    lines.append(",\n".join(pts))
+    if graph is not None:
         lines.append("  ],")
         lines.append('  "edges": [')
-        es = []
-        for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label)):
-            es.append(f'    {{"from": {json.dumps(e.from_id)}, '
-                      f'"to": {json.dumps(e.to_id)}, "label": {_vec_json(e.label)}}}')
+        es = [f'    {{"from": {json.dumps(e.from_id)}, '
+              f'"to": {json.dumps(e.to_id)}, "label": {_vec_json(e.label)}}}'
+              for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label))]
         lines.append(",\n".join(es))
-        lines.append("  ]")
+    lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -318,11 +311,8 @@ def check_pairing(data: FixedPointData) -> ValidationReport:
         counts.setdefault(rep, [0, 0])[0 if s > 0 else 1] += 1
     witnesses = tuple(rep for rep in sorted(counts)
                       if counts[rep][0] != counts[rep][1])
-    note = ""
-    if witnesses:
-        parts = [f"{rep}: {counts[rep][0]} vs {counts[rep][1]} negated"
-                 for rep in witnesses]
-        note = "; ".join(parts)
+    note = "; ".join(f"{rep}: {counts[rep][0]} vs {counts[rep][1]} negated"
+                     for rep in witnesses)
     return _single("pairing", not witnesses, witnesses, note=note)
 
 
@@ -337,37 +327,24 @@ def check_weight_sum_zero(data: FixedPointData) -> ValidationReport:
 
 def check_gkm(data: FixedPointData) -> ValidationReport:
     """Weights at each point must be pairwise linearly independent."""
-    witnesses = []
-    for p in sorted(data.points, key=lambda p: p.id):
-        ws = p.weights
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                if parallel(ws[i], ws[j]):
-                    witnesses.append((p.id, ws[i], ws[j]))
+    witnesses = [(p.id, u, v) for p in sorted(data.points, key=lambda p: p.id)
+                 for u, v in combinations(p.weights, 2) if parallel(u, v)]
     return _single("gkm", not witnesses, tuple(witnesses))
-
-
-def _congruence_matching(left: Sequence[Weight], right: Sequence[Weight],
-                         label: Weight) -> Dict[int, int] | None:
-    adjacency = [[j for j, v in enumerate(right) if congruent_mod(u, v, label)]
-                 for u in left]
-    match = maximum_matching(len(left), len(right), adjacency)
-    return match if len(match) == len(left) else None
 
 
 def check_edge_congruence(data: FixedPointData,
                           graph: Multigraph) -> ValidationReport:
-    """Endpoint weight multisets of each edge must biject congruently mod its label."""
+    """Endpoint weight multisets of each edge must biject congruently mod
+    its label, that is have equal sorted residues; info zips the two."""
     witnesses = []
     info = []
     for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label)):
-        left = data.point(e.from_id).weights
-        right = data.point(e.to_id).weights
-        match = _congruence_matching(left, right, e.label)
-        if match is None:
+        left = sorted((residue_mod(w, e.label), w) for w in data.point(e.from_id).weights)
+        right = sorted((residue_mod(w, e.label), w) for w in data.point(e.to_id).weights)
+        if [r for r, _ in left] != [r for r, _ in right]:
             witnesses.append((e.from_id, e.to_id, e.label))
         else:
-            pairs = tuple(sorted((left[i], right[j]) for i, j in match.items()))
+            pairs = tuple(sorted((u, v) for (_, u), (_, v) in zip(left, right)))
             info.append(((e.from_id, e.to_id, e.label), pairs))
     return _single("edge_congruence", not witnesses, tuple(witnesses), tuple(info))
 
@@ -414,50 +391,77 @@ def check_simple(graph: Multigraph) -> ValidationReport:
 # graph construction
 
 
+def _pair_bucket(left: Sequence[str], right: Sequence[str]) -> Iterator[Tuple[str, str]]:
+    """Pair the +w with the -w occurrences of one bucket (point ids, in id order).
+
+    Each +w occurrence takes the first free -w occurrence at another point,
+    except while a point t holds at least half of the 2n unpaired
+    occurrences: every pair must then involve t, and it is a self-loop
+    only when t holds more than half, which forces one.
+    """
+    free: Dict[str, int] = {}
+    load: Dict[str, int] = {}
+    for v in right:
+        free[v] = load[v] = free.get(v, 0) + 1
+    for u in left:
+        load[u] = load.get(u, 0) + 1
+    heaviest = [(-d, x) for x, d in load.items()]
+    heapq.heapify(heaviest)
+    for n, u in zip(range(len(left), 0, -1), left):
+        while -heaviest[0][0] != load[heaviest[0][1]]:
+            heapq.heappop(heaviest)
+        t = heaviest[0][1]
+        if load[t] > n or (load[t] == n and t != u):
+            v = t
+        else:
+            v = next(x for x in free if x != u)
+        yield u, v
+        free[v] -= 1
+        if not free[v]:
+            del free[v]
+        load[u] -= 1
+        load[v] -= 1
+        heapq.heappush(heaviest, (-load[u], u))
+        heapq.heappush(heaviest, (-load[v], v))
+
+
 def build_multigraph(data: FixedPointData) -> Multigraph:
     """Construct a describing multigraph from bare weight data.
 
-    Weight occurrences are grouped into classes {w, -w}; within a class,
-    occurrences of w are matched to occurrences of -w at other points,
-    admitting the pair only when the two points' whole weight multisets
-    agree modulo w.  Self-loop pairs at a single point are used only when
-    no loop-free perfect matching exists.  Raises MatchingError naming the
-    first weight class for which no perfect matching exists at all.
+    Weight occurrences are grouped into classes {w, -w}.  Within a class,
+    w at p may pair with -w at q exactly when the whole weight multisets
+    at p and q agree modulo w, i.e. have the same sorted residues; so the
+    class splits into buckets by residue signature.  A bucket holding n
+    occurrences of each sign, L_x of w and R_x of -w at point x, pairs
+    without self-loops iff L_x + R_x <= n for every x (Hall's theorem);
+    otherwise the one point over the bound gets the forced L_x + R_x - n
+    loops and no others do.  Raises MatchingError naming the first weight
+    class with a bucket whose two signs differ in number.
     """
     pairing = check_pairing(data)
     if not pairing.passed:
         raise ValueError(f"pairing violation, no multigraph can describe the data: "
                          f"{pairing.results[0].note}")
-    order = sorted(data.points, key=lambda p: p.id)
     plus: Dict[Weight, list[str]] = {}
     minus: Dict[Weight, list[str]] = {}
-    for p in order:
+    for p in sorted(data.points, key=lambda p: p.id):
         for w in p.weights:
             s, rep = canonicalize(w)
             (plus if s > 0 else minus).setdefault(rep, []).append(p.id)
 
     edges: list[Edge] = []
     for rep in sorted(plus):
-        left = plus[rep]
-        right = minus[rep]
         residues = {pid: tuple(sorted(residue_mod(w, rep)
                                       for w in data.point(pid).weights))
-                    for pid in {*left, *right}}
-
-        def admissible(u: str, v: str) -> bool:
-            return residues[u] == residues[v]
-
-        adjacency = [[j for j, v in enumerate(right) if u != v and admissible(u, v)]
-                     for u in left]
-        match = maximum_matching(len(left), len(right), adjacency)
-        if len(match) < len(left):
-            # fall back to allowing self-loops before giving up
-            adjacency = [[j for j, v in enumerate(right) if admissible(u, v)]
-                         for u in left]
-            match = maximum_matching(len(left), len(right), adjacency)
-            if len(match) < len(left):
+                    for pid in {*plus[rep], *minus[rep]}}
+        buckets: Dict[Tuple[Weight, ...], Tuple[list[str], list[str]]] = {}
+        for side, pids in enumerate((plus[rep], minus[rep])):
+            for pid in pids:
+                buckets.setdefault(residues[pid], ([], []))[side].append(pid)
+        for left, right in buckets.values():
+            if len(left) != len(right):
                 raise MatchingError(rep, f"no congruent matching for weight class {rep}")
-        edges.extend(Edge(left[i], right[j], rep) for i, j in match.items())
+            edges.extend(Edge(u, v, rep) for u, v in _pair_bucket(left, right))
 
     edges.sort(key=lambda e: (e.from_id, e.to_id, e.label))
     return Multigraph(data.ids(), tuple(edges))
@@ -488,8 +492,6 @@ def validate_all(data: FixedPointData,
 
 def transform(data: FixedPointData, rows: Sequence[Weight]) -> FixedPointData:
     """Apply an integer matrix (rows acting on column vectors) to every weight."""
-    from .weights import apply_matrix
-
     points = tuple(FixedPoint(p.id, tuple(apply_matrix(rows, w) for w in p.weights))
                    for p in data.points)
     return FixedPointData(data.torus_rank, data.half_dim, points,

@@ -223,11 +223,6 @@ def poly_neg(p: SparsePoly) -> SparsePoly:
     return {e: -c for e, c in p.items()}
 
 
-def poly_scale(p: SparsePoly, c: Scalar) -> SparsePoly:
-    c = Fraction(c)
-    return {} if c == 0 else {e: c * v for e, v in p.items()}
-
-
 def poly_mul(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     out: SparsePoly = {}
     for e1, c1 in p.items():

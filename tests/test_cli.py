@@ -279,3 +279,17 @@ class TestUsageAndIo:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 4
         assert "nested too deeply" in err
+
+    def test_graph_unwritable_out(self, capsys, cp2_file, tmp_path):
+        target = tmp_path / "missing_dir" / "g.dot"
+        code, out, err = run(capsys, "graph", cp2_file, "--out", str(target))
+        assert code == 4
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+        assert out == ""
+
+    def test_example_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "missing_dir" / "cp2.json"
+        code, out, err = run(capsys, "example", "cpn", "--out", str(target))
+        assert code == 4
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+        assert out == ""

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -28,7 +29,8 @@ from gkmkit.model import (
     transform,
     validate_all,
 )
-from gkmkit.weights import neg
+from gkmkit.matching import maximum_matching
+from gkmkit.weights import canonicalize, neg
 
 from conftest import random_unimodular
 
@@ -49,6 +51,63 @@ CP2_DOC = """
   ]
 }
 """
+
+
+def _paired_data(rng, k):
+    """Random rank-k data from +w/-w slot pairs, so pairing always holds."""
+    n = rng.randint(1, 3)
+    count = rng.randint(1, 4)
+    if (count * n) % 2:
+        count += 1
+    slots = [(i, j) for i in range(count) for j in range(n)]
+    rng.shuffle(slots)
+    grid = [[None] * n for _ in range(count)]
+    for a in range(0, len(slots), 2):
+        (i1, j1), (i2, j2) = slots[a], slots[a + 1]
+        while True:
+            w = tuple(rng.randint(-2, 2) for _ in range(k))
+            if any(w):
+                break
+        grid[i1][j1] = w
+        grid[i2][j2] = neg(w)
+    pts = [FixedPoint(f"p{i}", tuple(grid[i])) for i in range(count)]
+    return FixedPointData(k, n, tuple(pts))
+
+
+def _hk_congruent(left, right, label):
+    """Oracle: a perfect congruent_mod matching exists (Hopcroft-Karp)."""
+    adjacency = [[j for j, v in enumerate(right) if congruent_mod(u, v, label)]
+                 for u in left]
+    match = maximum_matching(len(left), len(right), adjacency)
+    return len(left) == len(right) == len(match)
+
+
+def _hk_build_oracle(data):
+    """Oracle for build_multigraph: (buildable, fewest self-loops).
+
+    Per class {w, -w}, an occurrence of w at u may pair with one of -w at
+    v when the whole weight multisets at u and v biject congruently mod w.
+    The class is buildable when that graph has a perfect matching, and no
+    perfect matching has fewer self-loops than the class size minus the
+    largest loop-free matching.
+    """
+    plus, minus = {}, {}
+    for p in sorted(data.points, key=lambda p: p.id):
+        for w in p.weights:
+            s, rep = canonicalize(w)
+            (plus if s > 0 else minus).setdefault(rep, []).append(p.id)
+    buildable, loops = True, 0
+    for rep, left in plus.items():
+        right = minus[rep]
+        admissible = {(u, v): _hk_congruent(data.point(u).weights,
+                                            data.point(v).weights, rep)
+                      for u in left for v in right}
+        full = [[j for j, v in enumerate(right) if admissible[u, v]] for u in left]
+        free = [[j for j, v in enumerate(right) if admissible[u, v] and u != v]
+                for u in left]
+        buildable &= len(maximum_matching(len(left), len(right), full)) == len(left)
+        loops += len(left) - len(maximum_matching(len(left), len(right), free))
+    return buildable, loops
 
 
 class TestParsing:
@@ -226,6 +285,32 @@ class TestCongruence:
         assert not rep.passed
         assert rep.results[0].witnesses == (("p", "q", (1, 0)),)
 
+    def test_edge_congruence_matches_hopcroft_karp_oracle(self):
+        rng = random.Random(43)
+        passed = failed = 0
+        for _ in range(300):
+            data = _paired_data(rng, rng.choice((1, 2)))
+            ids = [p.id for p in data.points]
+            edges = []
+            for _ in range(rng.randint(1, 4)):
+                u, v = rng.choice(ids), rng.choice(ids)
+                label = rng.choice(data.point(u).weights + ((1,) * data.torus_rank,))
+                edges.append(Edge(u, v, label))
+            graph = Multigraph(tuple(sorted(ids)), tuple(edges))
+            result = check_edge_congruence(data, graph).results[0]
+            oracle = [e for e in sorted(edges, key=lambda e: (e.from_id, e.to_id, e.label))
+                      if not _hk_congruent(data.point(e.from_id).weights,
+                                           data.point(e.to_id).weights, e.label)]
+            assert result.witnesses == tuple((e.from_id, e.to_id, e.label) for e in oracle)
+            assert result.passed == (not oracle)
+            passed += result.passed
+            failed += not result.passed
+            for (u, v, label), pairs in result.info:
+                assert all(congruent_mod(a, b, label) for a, b in pairs)
+                assert sorted(a for a, _ in pairs) == sorted(data.point(u).weights)
+                assert sorted(b for _, b in pairs) == sorted(data.point(v).weights)
+        assert passed > 50 and failed > 50  # both verdicts exercised
+
 
 class TestDescribes:
     def test_catalog_graphs_describe(self):
@@ -345,6 +430,52 @@ class TestBuildMultigraph:
             built += 1
             assert check_describes(data, graph).passed
         assert built > 20  # the property must actually have been exercised
+
+    def test_build_matches_hopcroft_karp_oracle(self):
+        rng = random.Random(47)
+        built = refused = looped = 0
+        for _ in range(300):
+            data = _paired_data(rng, rng.choice((1, 2)))
+            buildable, fewest_loops = _hk_build_oracle(data)
+            try:
+                graph = build_multigraph(data)
+            except MatchingError:
+                assert not buildable
+                refused += 1
+                continue
+            assert buildable
+            assert check_describes(data, graph).passed
+            loops = sum(1 for e in graph.edges if e.from_id == e.to_id)
+            assert loops == fewest_loops
+            built += 1
+            looped += loops > 0
+        assert built > 50 and refused > 50 and looped > 20
+
+    def test_loops_only_where_a_bucket_forces_them(self):
+        # class {1}: p1 carries 1, 1 and -1 of the two pairs, so one loop;
+        # class {2}: p2 alone has residues {0, 0, 1}, so it loops, while
+        # p0 and p3 pair with each other
+        data = FixedPointData(1, 3, (
+            FixedPoint("p0", ((2,), (-2,), (2,))),
+            FixedPoint("p1", ((-1,), (1,), (1,))),
+            FixedPoint("p2", ((-1,), (-2,), (2,))),
+            FixedPoint("p3", ((-2,), (-2,), (2,))),
+        ))
+        graph = build_multigraph(data)
+        loops = sorted((e.from_id, e.label) for e in graph.edges if e.from_id == e.to_id)
+        assert loops == [("p1", (1,)), ("p2", (2,))]
+        assert check_describes(data, graph).passed
+
+    def test_rank_one_spheres_scale(self):
+        m = 4000
+        data = FixedPointData(1, 1, tuple(
+            FixedPoint(f"p{i}", ((1 if i < m else -1,),)) for i in range(2 * m)))
+        start = time.perf_counter()
+        rep = validate_all(data)
+        elapsed = time.perf_counter() - start
+        assert rep.result("buildable").passed
+        assert rep.result("buildable").note == "built, loop-free"
+        assert elapsed < 1.0, f"validate_all took {elapsed:.2f} s at m = {m}"
 
 
 class TestValidateAll:
