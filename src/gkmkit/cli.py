@@ -324,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--partition", help="comma-separated partition, e.g. 1,1,2")
     p.add_argument("--all", action="store_true", help="all partitions (default)")
-    p.add_argument("--mode", choices=("generic", "expanded"))
+    p.add_argument("--mode", choices=("generic", "expanded"),
+                   help="localization mode: generic (two evaluation points) or "
+                        "expanded (exact polynomial identity); default "
+                        "$GKMKIT_MODE, else generic")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_chern)
 

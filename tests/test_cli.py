@@ -132,6 +132,14 @@ class TestChern:
         assert code == 0
         assert json.loads(out)["mode"] == "generic"
 
+    def test_mode_help_names_modes_and_default(self, capsys):
+        code, out, _ = run(capsys, "chern", "--help")
+        assert code == 0
+        help_text = " ".join(out.split())
+        assert "generic (two evaluation points)" in help_text
+        assert "expanded (exact polynomial identity)" in help_text
+        assert "default $GKMKIT_MODE, else generic" in help_text
+
     def test_bad_env_mode(self, capsys, cp2_file, monkeypatch):
         monkeypatch.setenv("GKMKIT_MODE", "fast")
         code, _, err = run(capsys, "chern", cp2_file)

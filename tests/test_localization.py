@@ -1,5 +1,6 @@
 """Localization engine: integrals, Chern numbers, modes, consistency checks."""
 
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -25,8 +26,8 @@ from gkmkit import (
     s6_blowup,
     transform,
 )
-from gkmkit import localization
-from gkmkit.weights import poly_const, poly_const_value
+from gkmkit import localization, weights
+from gkmkit.weights import poly_const, poly_const_value, poly_is_const
 
 from conftest import random_unimodular
 
@@ -49,6 +50,49 @@ def two_point_luck() -> FixedPointData:
         FixedPoint("p0", ((-3, 3), (3, 1))),
         FixedPoint("p1", ((3, -3), (-1, -1))),
         FixedPoint("p2", ((-3, -1), (1, 1)))))
+
+
+def refuted_sum() -> FixedPointData:
+    """Rank-1 data whose e_1 sum is -2/(3t^2): numerator and denominator
+    are single monomials, of different degrees."""
+    return FixedPointData(1, 3, (
+        FixedPoint("p0", ((-3,), (-3,), (-3,))),
+        FixedPoint("p1", ((-2,), (-3,), (1,))),
+        FixedPoint("q0", ((3,), (3,), (3,))),
+        FixedPoint("q1", ((2,), (3,), (-1,)))))
+
+
+def random_small_data(rng) -> FixedPointData:
+    """Rank 1-2, half_dim <= 3, entries in [-3, 3]; half of the samples
+    pair each point with its mirror, so that many sums are constant."""
+    k, n = rng.choice((1, 2)), rng.randint(1, 3)
+
+    def weight():
+        while True:
+            w = tuple(rng.randint(-3, 3) for _ in range(k))
+            if any(w):
+                return w
+
+    pts = []
+    if rng.random() < 0.5:
+        for i in range(rng.randint(1, 2)):
+            ws = tuple(weight() for _ in range(n))
+            pts.append(FixedPoint(f"p{i}", ws))
+            pts.append(FixedPoint(f"q{i}", tuple(tuple(-a for a in w) for w in ws)))
+    else:
+        pts = [FixedPoint(f"p{i}", tuple(weight() for _ in range(n)))
+               for i in range(rng.randint(1, 4))]
+    return FixedPointData(k, n, tuple(pts))
+
+
+def factored_sum_value(data: FixedPointData, part):
+    """The constant that localize_sum gives for the class, or None."""
+    total = localize_sum(data, chern_numerators(data, part))
+    if total.is_zero():
+        return Fraction(0)
+    if total.denominator or not poly_is_const(total.numerator):
+        return None
+    return poly_const_value(total.numerator)
 
 
 class TestPartitions:
@@ -336,3 +380,76 @@ class TestKernel:
         calls.clear()
         assert check_lower_degree_vanishing(cpn(5).data).passed
         assert calls == {"generic_points": 1}
+
+
+class TestExpanded:
+    """The expanded table: one common denominator, one polynomial identity."""
+
+    @staticmethod
+    def table_value(table, part):
+        try:
+            return table.product("unused", part)
+        except InconsistencyError as exc:
+            assert "not a constant" in str(exc)
+            return None
+
+    def test_agrees_with_factored_sum_on_random_data(self, rng):
+        seen = Counter()
+        for _ in range(200):
+            data = random_small_data(rng)
+            table = localization._Expanded(data, data.half_dim)
+            for m in range(data.half_dim + 1):
+                for part in partitions(m):
+                    exact = factored_sum_value(data, part)
+                    assert self.table_value(table, part) == exact, (data, part)
+                    seen["refused" if exact is None else "constant"] += 1
+        assert seen["refused"] > 100 and seen["constant"] > 100, seen
+
+    def test_support_outside_denominator_is_refused(self):
+        # comparing S with c * D only on D's support, plus the term count,
+        # would read c = 0 here
+        data = refuted_sum()
+        assert factored_sum_value(data, (1,)) is None
+        assert self.table_value(localization._Expanded(data, 3), (1,)) is None
+        with pytest.raises(InconsistencyError, match="not a constant"):
+            integrate(data, chern_numerators(data, (1,)), "expanded")
+        rep = check_lower_degree_vanishing(data, "expanded")
+        assert (1,) in [w[0] for w in rep.result("lower_degree_vanishing").witnesses]
+
+    def test_two_point_luck_still_refused(self):
+        rep = chern_report(two_point_luck(), "expanded")
+        assert rep.values == {(2,): 3}
+        assert rep.failures == (((1, 1), "localized sum is not a constant; the "
+                                 "numerators do not come from a global class "
+                                 "of integral degree"),)
+
+    def test_fraction_numerators(self):
+        data = cpn(2).data
+        nums = {pid: {e: c / 3 for e, c in q.items()}
+                for pid, q in chern_numerators(data, (1, 1)).items()}
+        assert integrate(data, nums, "expanded") == 3
+
+    def test_no_symbolic_reference_calls(self, monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(localization, "chern_numerators")
+        counted(localization, "frac_sum")
+        counted(weights, "poly_div_linear")
+        assert chern_report(cpn(5).data, "expanded").ok
+        assert check_lower_degree_vanishing(cpn(4).data, "expanded").passed
+        assert not calls
+
+    def test_cpn6_within_budget(self):
+        start = time.perf_counter()
+        rep = chern_report(cpn(6).data, "expanded")
+        elapsed = time.perf_counter() - start
+        assert rep.values == chern_report(cpn(6).data).values and rep.ok
+        assert elapsed < 10.0
