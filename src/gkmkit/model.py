@@ -26,17 +26,16 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from itertools import chain, combinations
+from math import gcd
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .weights import (
     Weight,
-    add,
     apply_matrix,
     canonicalize,
     is_unimodular_basis,
     neg,
-    parallel,
     pivot_index,
     sub,
 )
@@ -155,6 +154,8 @@ def _expect_int(value: object, what: str) -> int:
 
 
 def _parse_vector(value: object, k: int, what: str) -> Weight:
+    if type(value) is list and len(value) == k and all(type(a) is int for a in value):
+        return tuple(value)
     if not isinstance(value, list) or len(value) != k:
         raise ParseError(f"{what} must be a list of {k} integers, got {value!r}")
     return tuple(_expect_int(a, f"entry of {what}") for a in value)
@@ -230,6 +231,9 @@ def parse(raw: bytes | str) -> Tuple[FixedPointData, Multigraph | None]:
             if not isinstance(entry, dict) or set(entry) != {"from", "to", "label"}:
                 raise ParseError(f"edge must have exactly from, to, label: {entry!r}")
             u, v = entry["from"], entry["to"]
+            for end in (u, v):
+                if not isinstance(end, str) or not end:
+                    raise ParseError(f"edge endpoint must be a non-empty string: {end!r}")
             if u not in seen or v not in seen:
                 raise ParseError(f"edge endpoint is not a fixed point id: {entry!r}")
             label = _parse_vector(entry["label"], k, "edge label")
@@ -299,6 +303,58 @@ def residue_mod(u: Weight, w: Weight) -> Weight:
     return tuple(a - c * b for a, b in zip(u, w))
 
 
+class _PackedResidues:
+    """``residue_mod`` for the weights at the points of one dataset, as ints.
+
+    A vector v packs to P(v) = sum v_i 2^(s i).  Packing is linear, so the
+    residue of u mod w packs to P(u) - c P(w) with c as in ``residue_mod``.
+    With M the largest |entry| over the weights and labels, |c| <= M and
+    every residue coordinate lies below M + M^2 in absolute value; the
+    width s is the least with 2^(s-1) > M + M^2, which makes packing
+    injective on residues: two residues are equal exactly when their
+    packed ints are.
+    """
+
+    def __init__(self, data: FixedPointData, labels: Iterable[Weight] = ()):
+        m = max(map(abs, chain.from_iterable(chain(data.all_weights(), labels))),
+                default=0)
+        self.width = (m + m * m).bit_length() + 1
+        self.data = data
+        self.packed: Dict[str, list[int]] = {}
+
+    def pack(self, v: Weight) -> int:
+        p = 0
+        for a in reversed(v):
+            p = (p << self.width) + a
+        return p
+
+    def residues(self, label: Weight, pids: Iterable[str]) -> Dict[str, list[int]]:
+        """Packed residues mod label of the weights at each point, in order."""
+        j = pivot_index(label)
+        d = label[j]
+        pw = self.pack(label)
+        out = {}
+        for pid in pids:
+            ws = self.data.point(pid).weights
+            if pid not in self.packed:
+                self.packed[pid] = [self.pack(u) for u in ws]
+            if d > 0:
+                out[pid] = [pu - u[j] // d * pw for u, pu in zip(ws, self.packed[pid])]
+            else:
+                out[pid] = [pu + u[j] // -d * pw for u, pu in zip(ws, self.packed[pid])]
+        return out
+
+
+def _direction(w: Weight) -> Weight | None:
+    """The primitive vector along w with positive pivot; None for zero."""
+    g = gcd(*w)
+    if not g:
+        return None
+    if w[pivot_index(w)] < 0:
+        g = -g
+    return tuple(w) if g == 1 else tuple(a // g for a in w)
+
+
 # ---------------------------------------------------------------------------
 # checks
 
@@ -318,29 +374,45 @@ def check_pairing(data: FixedPointData) -> ValidationReport:
 
 def check_weight_sum_zero(data: FixedPointData) -> ValidationReport:
     """The sum of all weights over all points must vanish."""
-    total = (0,) * data.torus_rank
-    for w in data.all_weights():
-        total = add(total, w)
+    total = tuple(map(sum, zip(*data.all_weights()))) or (0,) * data.torus_rank
     ok = not any(total)
     return _single("weight_sum", ok, () if ok else (total,))
 
 
 def check_gkm(data: FixedPointData) -> ValidationReport:
-    """Weights at each point must be pairwise linearly independent."""
-    witnesses = [(p.id, u, v) for p in sorted(data.points, key=lambda p: p.id)
-                 for u, v in combinations(p.weights, 2) if parallel(u, v)]
+    """Weights at each point must be pairwise linearly independent.
+
+    Two non-zero weights are parallel exactly when their primitive
+    directions (w / gcd(w), signed to a positive pivot) are equal, so a
+    point whose directions are all distinct is skipped; elsewhere every
+    parallel pair is a witness, in pair order.  A zero weight is parallel
+    to every weight.
+    """
+    witnesses = []
+    for p in sorted(data.points, key=lambda p: p.id):
+        dirs = [_direction(w) for w in p.weights]
+        if len(set(dirs)) < len(dirs) or None in dirs:
+            witnesses.extend((p.id, u, v) for (u, a), (v, b)
+                             in combinations(zip(p.weights, dirs), 2)
+                             if a == b or a is None or b is None)
     return _single("gkm", not witnesses, tuple(witnesses))
 
 
 def check_edge_congruence(data: FixedPointData,
                           graph: Multigraph) -> ValidationReport:
     """Endpoint weight multisets of each edge must biject congruently mod
-    its label, that is have equal sorted residues; info zips the two."""
+    its label, that is have equal sorted residues; info zips the two.
+
+    Residues are compared as packed ints (see ``_PackedResidues``), which
+    are equal exactly when the ``residue_mod`` tuples are.
+    """
+    kernel = _PackedResidues(data, (e.label for e in graph.edges))
     witnesses = []
     info = []
     for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label)):
-        left = sorted((residue_mod(w, e.label), w) for w in data.point(e.from_id).weights)
-        right = sorted((residue_mod(w, e.label), w) for w in data.point(e.to_id).weights)
+        res = kernel.residues(e.label, (e.from_id, e.to_id))
+        left = sorted(zip(res[e.from_id], data.point(e.from_id).weights))
+        right = sorted(zip(res[e.to_id], data.point(e.to_id).weights))
         if [r for r, _ in left] != [r for r, _ in right]:
             witnesses.append((e.from_id, e.to_id, e.label))
         else:
@@ -431,30 +503,31 @@ def build_multigraph(data: FixedPointData) -> Multigraph:
     Weight occurrences are grouped into classes {w, -w}.  Within a class,
     w at p may pair with -w at q exactly when the whole weight multisets
     at p and q agree modulo w, i.e. have the same sorted residues; so the
-    class splits into buckets by residue signature.  A bucket holding n
+    class splits into buckets by residue signature, compared as sorted
+    packed ints (see ``_PackedResidues``).  A bucket holding n
     occurrences of each sign, L_x of w and R_x of -w at point x, pairs
     without self-loops iff L_x + R_x <= n for every x (Hall's theorem);
     otherwise the one point over the bound gets the forced L_x + R_x - n
     loops and no others do.  Raises MatchingError naming the first weight
     class with a bucket whose two signs differ in number.
     """
-    pairing = check_pairing(data)
-    if not pairing.passed:
-        raise ValueError(f"pairing violation, no multigraph can describe the data: "
-                         f"{pairing.results[0].note}")
     plus: Dict[Weight, list[str]] = {}
     minus: Dict[Weight, list[str]] = {}
     for p in sorted(data.points, key=lambda p: p.id):
         for w in p.weights:
             s, rep = canonicalize(w)
             (plus if s > 0 else minus).setdefault(rep, []).append(p.id)
+    if ({rep: len(ids) for rep, ids in plus.items()}
+            != {rep: len(ids) for rep, ids in minus.items()}):
+        raise ValueError(f"pairing violation, no multigraph can describe the data: "
+                         f"{check_pairing(data).results[0].note}")
 
+    kernel = _PackedResidues(data)
     edges: list[Edge] = []
     for rep in sorted(plus):
-        residues = {pid: tuple(sorted(residue_mod(w, rep)
-                                      for w in data.point(pid).weights))
-                    for pid in {*plus[rep], *minus[rep]}}
-        buckets: Dict[Tuple[Weight, ...], Tuple[list[str], list[str]]] = {}
+        residues = {pid: tuple(sorted(rs)) for pid, rs
+                    in kernel.residues(rep, {*plus[rep], *minus[rep]}).items()}
+        buckets: Dict[Tuple[int, ...], Tuple[list[str], list[str]]] = {}
         for side, pids in enumerate((plus[rep], minus[rep])):
             for pid in pids:
                 buckets.setdefault(residues[pid], ([], []))[side].append(pid)

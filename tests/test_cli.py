@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, output formats, environment knobs."""
 
+import copy
 import json
+import random
 
 import pytest
 
@@ -301,3 +303,93 @@ class TestUsageAndIo:
         assert code == 4
         assert err.startswith("error: cannot write") and "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("endpoint", [["p0"], {"id": "p0"}, 0, None, ""])
+    def test_edge_endpoint_not_a_string(self, capsys, tmp_path, endpoint):
+        doc = json.loads(EDGE_DOC)
+        doc["edges"][1]["from"] = endpoint
+        path = tmp_path / "endpoint.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "genus", "chern", "petrie", "graph"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 4, command
+            assert "edge endpoint must be a non-empty string" in err
+            assert "Traceback" not in err and out == ""
+
+
+EDGE_DOC = """{"torus_rank": 2, "half_dim": 2, "torus_manifold": true,
+ "fixed_points": [{"id": "p0", "weights": [[1,0],[0,1]]},
+                  {"id": "p1", "weights": [[-1,0],[-1,1]]},
+                  {"id": "p2", "weights": [[0,-1],[1,-1]]}],
+ "edges": [{"from": "p0", "to": "p1", "label": [1,0]},
+           {"from": "p0", "to": "p2", "label": [0,1]},
+           {"from": "p1", "to": "p2", "label": [-1,1]}]}"""
+
+
+class TestFuzz:
+    """Seeded mutations of a cp2 document and of the vector options.
+
+    Every run must end in a documented exit code and print no traceback.
+    The corpus is drawn from a fixed seed, so every run sees the same inputs.
+    """
+
+    POOL = (None, True, False, 0, 1, -1, 2, 10 ** 30, 1.5, "", "p0", "x", [], [1],
+            [0, 0], [1, 0], [2, -1], [[1, 0]], [[1, 0], [0, 1]], {}, {"id": "p9"}, ["p0"])
+
+    @staticmethod
+    def paths(node, path=()):
+        yield path
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            yield from TestFuzz.paths(child, path + (key,))
+
+    def mutate(self, rng, doc):
+        doc = copy.deepcopy(doc)
+        for _ in range(rng.randint(1, 3)):
+            path = rng.choice([p for p in self.paths(doc) if p] or [None])
+            if path is None:
+                break
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            last, op = path[-1], rng.random()
+            if op < 0.6:
+                parent[last] = copy.deepcopy(rng.choice(self.POOL))
+            elif op < 0.75:
+                del parent[last]
+            elif op < 0.9 and isinstance(parent, list):
+                parent.insert(last, copy.deepcopy(parent[last]))
+            elif type(parent[last]) is int:
+                parent[last] += rng.choice((-2, -1, 1, 2))
+        return doc
+
+    @staticmethod
+    def vector_text(rng):
+        return "".join(rng.choice("0123456789,-; a") for _ in range(rng.randint(0, 8)))
+
+    def test_exit_codes_are_documented(self, capsys, tmp_path):
+        rng = random.Random(20261018)
+        base = json.loads(EDGE_DOC)
+        path = str(tmp_path / "fuzz.json")
+        codes = set()
+        for _ in range(40):
+            with open(path, "w") as fh:
+                json.dump(self.mutate(rng, base), fh)
+            for argv in (["validate", path], ["genus", path], ["chern", path],
+                         ["chern", path, "--mode", "expanded"],
+                         ["chern", path, "--partition", "1,1"],
+                         ["petrie", path, "--up-to-gl"],
+                         ["graph", path, "--build", "--format", "json"], ["graph", path],
+                         ["genus", path, "--xi", self.vector_text(rng)],
+                         ["chern", path, "--partition", self.vector_text(rng)],
+                         ["example", "cpn", "--n", str(rng.randint(1, 3)),
+                          "--basis", self.vector_text(rng)]):
+                try:
+                    code, _, err = run(capsys, *argv)
+                except Exception as exc:  # a traceback in a real process
+                    pytest.fail(f"{argv} on {open(path).read()}: {exc!r}")
+                assert code in (0, 2, 3, 4, 64), argv
+                assert "Traceback" not in err, argv
+                codes.add(code)
+        assert codes == {0, 2, 3, 4, 64}

@@ -1,9 +1,12 @@
 import json
 import random
 import time
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
+from gkmkit import model, weights
 from gkmkit.catalog import all_entries, cp3_nongkm, cpn, fano, s6
 from gkmkit.model import (
     Classification,
@@ -13,6 +16,8 @@ from gkmkit.model import (
     MatchingError,
     Multigraph,
     ParseError,
+    _PackedResidues,
+    _pair_bucket,
     build_multigraph,
     check_describes,
     check_edge_congruence,
@@ -30,7 +35,7 @@ from gkmkit.model import (
     validate_all,
 )
 from gkmkit.matching import maximum_matching
-from gkmkit.weights import canonicalize, neg
+from gkmkit.weights import canonicalize, neg, parallel
 
 from conftest import random_unimodular
 
@@ -578,3 +583,238 @@ class TestClassification:
         four = fano("V5").data
         with pytest.raises(ValueError, match="points"):
             classify_few_fixed_points(four)
+
+
+def _kernel_data(rng):
+    """Random rank 1-4 data with entries within +-50 and a label to reduce by.
+
+    Every point shifts one base multiset by multiples of the label, so
+    residues coincide often; some base weights repeat, the label's pivot
+    is negative half the time, and now and then the label is (+-1, +-50,
+    ...) against weights at +-50, the extreme residues the packing bound
+    has to cover.
+    """
+    k, n = rng.randint(1, 4), rng.randint(1, 4)
+
+    def vec(r):
+        while True:
+            w = tuple(rng.randint(-r, r) for _ in range(k))
+            if any(w):
+                return w
+
+    if k > 1 and rng.random() < 0.2:
+        label = (rng.choice((-1, 1)),) + tuple(rng.choice((-50, 50)) for _ in range(k - 1))
+        base = [tuple(rng.choice((-50, 50)) for _ in range(k)) for _ in range(n)]
+        shifts = (0,)
+    else:
+        label = canonicalize(vec(15))[1]
+        base = [vec(20) for _ in range(n)]
+        shifts = (-2, -1, 0, 1, 2)
+    if rng.random() < 0.5:
+        label = neg(label)
+    if n > 1 and rng.random() < 0.5:
+        base[1] = base[0]
+    points = []
+    for i in range(rng.randint(2, 5)):
+        ws = []
+        for u in base:
+            w = tuple(a + rng.choice(shifts) * b for a, b in zip(u, label))
+            ws.append(w if any(w) and rng.random() > 0.1 else vec(50))
+        points.append(FixedPoint(f"p{i}", tuple(ws)))
+    return FixedPointData(k, n, tuple(points)), label
+
+
+def _mirrored(data):
+    """The data plus a negated copy of every point, so pairing holds."""
+    return FixedPointData(data.torus_rank, data.half_dim, data.points + tuple(
+        FixedPoint(p.id + "'", tuple(neg(w) for w in p.weights)) for p in data.points))
+
+
+def _reference_edge_congruence(data, graph):
+    """check_edge_congruence keyed on residue_mod tuples: (witnesses, info)."""
+    witnesses, info = [], []
+    for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label)):
+        left = sorted((residue_mod(w, e.label), w) for w in data.point(e.from_id).weights)
+        right = sorted((residue_mod(w, e.label), w) for w in data.point(e.to_id).weights)
+        if [r for r, _ in left] != [r for r, _ in right]:
+            witnesses.append((e.from_id, e.to_id, e.label))
+        else:
+            info.append(((e.from_id, e.to_id, e.label),
+                         tuple(sorted((u, v) for (_, u), (_, v) in zip(left, right)))))
+    return tuple(witnesses), tuple(info)
+
+
+def _reference_build(data):
+    """build_multigraph keyed on residue_mod tuples: serialized graph or error."""
+    if not check_pairing(data).passed:
+        return "pairing"
+    plus, minus = {}, {}
+    for p in sorted(data.points, key=lambda p: p.id):
+        for w in p.weights:
+            s, rep = canonicalize(w)
+            (plus if s > 0 else minus).setdefault(rep, []).append(p.id)
+    edges = []
+    for rep in sorted(plus):
+        buckets = {}
+        for side, pids in enumerate((plus[rep], minus[rep])):
+            for pid in pids:
+                key = tuple(sorted(residue_mod(w, rep) for w in data.point(pid).weights))
+                buckets.setdefault(key, ([], []))[side].append(pid)
+        for left, right in buckets.values():
+            if len(left) != len(right):
+                return ("unmatched", rep, f"no congruent matching for weight class {rep}")
+            edges.extend(Edge(u, v, rep) for u, v in _pair_bucket(left, right))
+    return serialize(data, Multigraph(data.ids(), tuple(edges)))
+
+
+class TestPackedKernels:
+    """Packed residues and primitive directions against the tuple oracles."""
+
+    def test_packed_residues_equal_exactly_when_tuples_are(self):
+        rng = random.Random(53)
+        equal = unequal = 0
+        for _ in range(300):
+            data, label = _kernel_data(rng)
+            labels = [label, neg(label), *data.points[0].weights]
+            kernel = _PackedResidues(data, labels)
+            for lab in labels:
+                res = kernel.residues(lab, [p.id for p in data.points])
+                flat = [(r, residue_mod(u, lab))
+                        for p in data.points for r, u in zip(res[p.id], p.weights)]
+                assert all(r == kernel.pack(t) for r, t in flat)
+                for (a, ra), (b, rb) in combinations(flat, 2):
+                    assert (a == b) == (ra == rb), (data, lab)
+                    equal += ra == rb
+                    unequal += ra != rb
+        assert equal > 1000 and unequal > 1000
+
+    def test_packing_injective_on_every_small_residue(self):
+        # every vector of [-2, 2]^3 modulo every label there: the width is
+        # the least that keeps these residues apart
+        box = [w for w in product(range(-2, 3), repeat=3)]
+        data = FixedPointData(3, len(box), (FixedPoint("p", tuple(box)),))
+        kernel = _PackedResidues(data)
+        for label in box:
+            if any(label):
+                packed = kernel.residues(label, ["p"])["p"]
+                tuples = [residue_mod(u, label) for u in box]
+                assert len(set(zip(packed, tuples))) == len(set(packed)) == len(set(tuples))
+
+    def test_labels_widen_the_packing(self):
+        # mod (1, 50, 0) the residues (0, 2050, 0) and (0, -2046, 1) differ, yet
+        # they pack to the same int at width 12, which the weights alone
+        # (|entries| <= 41) would give; the label's 50 forces width 13
+        data = FixedPointData(3, 1, (FixedPoint("p", ((-41, 0, 0),)),
+                                     FixedPoint("q", ((41, 4, 1),))))
+        graph = Multigraph(("p", "q"), (Edge("p", "q", (1, 50, 0)),))
+        assert residue_mod((-41, 0, 0), (1, 50, 0)) == (0, 2050, 0)
+        assert residue_mod((41, 4, 1), (1, 50, 0)) == (0, -2046, 1)
+        assert 2050 << 12 == (-2046 << 12) + (1 << 24)
+        assert check_edge_congruence(data, graph).results[0].witnesses == (
+            ("p", "q", (1, 50, 0)),)
+
+    def test_edge_congruence_matches_tuple_reference(self):
+        rng = random.Random(59)
+        verdicts = Counter()
+        for _ in range(300):
+            data, label = _kernel_data(rng)
+            ids = [p.id for p in data.points]
+            edges = []
+            for _ in range(rng.randint(1, 5)):
+                u, v = rng.choice(ids), rng.choice(ids)
+                lab = rng.choice((label, neg(label), rng.choice(data.point(u).weights)))
+                edges.append(Edge(u, v, lab))
+            graph = Multigraph(tuple(sorted(ids)), tuple(edges))
+            result = check_edge_congruence(data, graph).results[0]
+            assert (result.witnesses, result.info) == _reference_edge_congruence(data, graph)
+            verdicts[result.passed] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 50
+
+    def test_build_matches_tuple_reference(self):
+        rng = random.Random(67)
+        outcomes = Counter()
+        for _ in range(300):
+            data, _ = _kernel_data(rng)
+            if rng.random() < 0.8:
+                data = _mirrored(data)
+            expected = _reference_build(data)
+            try:
+                got = serialize(data, build_multigraph(data))
+            except MatchingError as exc:
+                got = ("unmatched", exc.weight_class, str(exc))
+            except ValueError:
+                got = "pairing"
+            assert got == expected, data
+            outcomes["pairing" if got == "pairing" else
+                     "refused" if isinstance(got, tuple) else "built"] += 1
+        assert min(outcomes["built"], outcomes["refused"], outcomes["pairing"]) > 30, outcomes
+
+    def test_gkm_witnesses_follow_pairwise_oracle(self):
+        rng = random.Random(71)
+        flagged = 0
+        for _ in range(300):
+            k, n = rng.randint(1, 4), rng.randint(1, 5)
+            lines = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(2)]
+            lines = [d for d in lines if any(d)] or [(1,) * k]
+            points = []
+            for i in range(rng.randint(1, 4)):
+                ws = []
+                while len(ws) < n:
+                    if rng.random() < 0.5:
+                        c = rng.choice((-3, -2, -1, 1, 2, 3))
+                        w = tuple(c * a for a in rng.choice(lines))
+                    else:
+                        w = tuple(rng.randint(-6, 6) for _ in range(k))
+                    if any(w):
+                        ws.append(w)
+                points.append(FixedPoint(f"p{rng.randint(0, 9)}{i}", tuple(ws)))
+            data = FixedPointData(k, n, tuple(points))
+            oracle = tuple((p.id, u, v) for p in sorted(points, key=lambda p: p.id)
+                           for u, v in combinations(p.weights, 2) if parallel(u, v))
+            assert check_gkm(data).results[0].witnesses == oracle
+            flagged += bool(oracle)
+        assert 50 < flagged < 250
+
+    def test_gkm_parallel_pairs(self):
+        data = FixedPointData(2, 3, (FixedPoint("p", ((2, 4), (1, 0), (-1, -2))),))
+        assert check_gkm(data).results[0].witnesses == (("p", (2, 4), (-1, -2)),)
+        # a zero weight is parallel to every weight
+        data = FixedPointData(2, 3, (FixedPoint("z", ((1, 0), (0, 0), (0, 1))),))
+        assert check_gkm(data).results[0].witnesses == (
+            ("z", (1, 0), (0, 0)), ("z", (0, 0), (0, 1)))
+        # in rank 1 every pair of weights is parallel
+        data = FixedPointData(1, 3, (FixedPoint("q", ((1,), (-2,), (3,))),))
+        assert check_gkm(data).results[0].witnesses == (
+            ("q", (1,), (-2,)), ("q", (1,), (3,)), ("q", (-2,), (3,)))
+
+    def test_graph_layer_calls_no_tuple_oracles(self, monkeypatch):
+        calls = Counter()
+        for name in ("residue_mod", "parallel"):
+            for module in (model, weights):
+                if name in vars(module):
+                    original = getattr(module, name)
+
+                    def wrapper(*args, _name=name, _original=original):
+                        calls[_name] += 1
+                        return _original(*args)
+                    monkeypatch.setattr(module, name, wrapper)
+        entry = cpn(8)
+        assert validate_all(entry.data).passed
+        assert check_describes(entry.data, entry.graph).passed
+        assert calls == {}
+        # the wrappers do count
+        model.residue_mod((5, 3), (2, 0))
+        weights.parallel((1, 0), (2, 0))
+        assert calls == {"residue_mod": 1, "parallel": 1}
+
+    @pytest.mark.parametrize("doc", [
+        {"torus_rank": 2, "half_dim": 1,
+         "fixed_points": [{"id": "p", "weights": [[True, 0]]},
+                          {"id": "q", "weights": [[-1, 0]]}]},
+        {"torus_rank": 1, "half_dim": 1,
+         "fixed_points": [{"id": "p", "weights": [[1]]}, {"id": "q", "weights": [[-1]]}],
+         "edges": [{"from": "p", "to": "q", "label": [1.0]}]},
+    ])
+    def test_parse_refuses_bool_and_float_entries(self, doc):
+        with pytest.raises(ParseError, match="must be an integer"):
+            parse(json.dumps(doc))
