@@ -186,13 +186,12 @@ def cmd_chern(args: argparse.Namespace) -> int:
     mode = args.mode or _default_mode()
     if args.partition:
         part = _parse_vector(args.partition)
-        if any(x < 1 for x in part) or sum(part) != data.half_dim:
-            raise _CliError(f"partition {part} does not sum to half_dim "
-                            f"{data.half_dim}", EXIT_PRECONDITION)
         try:
             value = chern_number(data, part, mode)
         except InconsistencyError as exc:
             raise _CliError(str(exc), EXIT_CHECK_FAILED)
+        except ValueError as exc:
+            raise _CliError(str(exc), EXIT_PRECONDITION)
         if args.json:
             print(json.dumps({"partition": sorted(part, reverse=True),
                               "value": value, "mode": mode}))

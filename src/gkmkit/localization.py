@@ -2,22 +2,22 @@
 
 An integral over the underlying space is recovered as a sum over fixed
 points: numerator at the point divided by the product of its weight
-forms.  Two evaluation strategies are provided and must agree:
+forms.  Both modes read every class from one table of the weight forms
+evaluated at a point t: the common denominator D (each sign-canonical
+form to its highest multiplicity at any point) and, per fixed point p,
+the multiplier M_p = sign_p * D / den_p and e_0..e_upto of its forms.
+Numerators N_p sum to S / D with S = sum of N_p * M_p, and partitions
+read in order share the products of their prefixes.
 
-* "generic": evaluate every term at a deterministic generic integer point
-  and cross-check the total at a second one.  Sound for numerators of
-  total degree at most the half dimension, where the sum is a constant
-  rational function; higher degrees are rejected.  Each call builds one
-  integer table per point (``_Kernel``) and reads every class it needs
-  from it: a class prod e_{lambda_i} is one integer sum over fixed points.
-* "expanded": exact over one common denominator D, the lcm of the
-  sign-canonical weight products.  Each call builds one table
-  (``_Expanded``) holding D and, per point, its multiplier D / den_p and
-  the symbolic e_0..e_upto of its weight forms, all with integer
-  coefficients; the sum of a class is S / D with S a single polynomial,
-  and it is a constant c exactly when S = c D coefficient by
-  coefficient.  Makes no genericity assumption and doubles as the oracle
-  for the generic mode.
+* "expanded": t is the symbolic point, t_i the packed monomial x^(B^i).
+  Entries are polynomials with integer coefficients, and the sum is the
+  constant c exactly when S = c D coefficient by coefficient.  Makes no
+  genericity assumption and doubles as the oracle for the generic mode.
+* "generic": t is a generic integer point, entries are plain ints and
+  the sum is Fraction(S, D).  The table is built at two generic points,
+  whose values must agree.  Sound for numerators of total degree at most
+  the half dimension, where the sum is a constant rational function;
+  higher degrees are rejected.
 
 Chern numbers take elementary symmetric polynomials of the weight forms
 as numerators; the top one always equals the Euler count.
@@ -26,11 +26,9 @@ as numerators; the top one always equals the Euler count.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import lcm, prod
+from math import prod
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .model import FixedPointData, ValidationReport, _single
@@ -38,14 +36,12 @@ from .weights import (
     SparsePoly,
     Weight,
     canonicalize,
-    dot,
     elem_sym_all,
     elem_sym_scalars,
     frac_sum,
     fraction,
     generic_points,
     poly_const,
-    poly_eval,
     poly_mul,
     poly_total_degree,
 )
@@ -89,119 +85,81 @@ def localize_sum(data: FixedPointData,
         for p in sorted(data.points, key=lambda p: p.id))
 
 
-class _Kernel:
-    """Integer localization tables of one dataset at its two generic points.
+class _Packed(dict):
+    """A polynomial with int or Fraction coefficients, none zero, keyed by
+    packed monomials: exponents e become the int sum e_i * B**i, and B
+    exceeds every total degree that occurs, so multiplying two monomials
+    adds their keys.  Numbers act as constants on either side of ``+`` and
+    ``*``, so ``sum``, ``prod`` and ``elem_sym_scalars`` take packed
+    polynomials as they take ints.  A value is never changed once built."""
 
-    Per point rho and fixed point p: the id of p, e_0..e_upto of the
-    pairings <rho, w> (plain ints) and the multiplier L / prod <rho, w>,
-    where L, the common denominator, is the lcm of those products.
-    Evaluation at rho commutes with products and with e_j, so a class read
-    from the table equals integrate() on its symbolic numerators.
-    """
+    def __add__(self, other):
+        if not other:
+            return self
+        if not isinstance(other, _Packed):
+            other = {0: other}
+        out = _Packed(self)
+        for m, c in other.items():
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return out
 
-    def __init__(self, data: FixedPointData, upto: int):
-        schedule = generic_points(set(data.all_weights()), data.torus_rank)
-        self.tables = []
-        for rho in (next(schedule), next(schedule)):
-            pairings = [[dot(rho, w) for w in p.weights] for p in data.points]
-            common = lcm(*map(prod, pairings))
-            rows = [(p.id, elem_sym_scalars(ps, upto), common // prod(ps))
-                    for p, ps in zip(data.points, pairings)]
-            self.tables.append((rho, rows, common))
+    __radd__ = __add__
 
-    def value(self, what: str, numerator: Callable[..., Fraction | int]) -> Fraction:
-        """Sum of numerator(rho, id, e) over the points, equal at both rho."""
-        v1, v2 = (Fraction(sum(numerator(rho, pid, e) * mult
-                               for pid, e, mult in rows), common)
-                  for rho, rows, common in self.tables)
-        if v1 != v2:
-            raise InconsistencyError(
-                f"{what} differs between generic points: {v1} vs {v2}")
-        return v1
+    def __mul__(self, other):
+        if not isinstance(other, _Packed):
+            return _Packed({m: c * other for m, c in self.items()} if other else {})
+        p, q = (self, other) if len(self) <= len(other) else (other, self)
+        out = _Packed()
+        get = out.get
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        for m in [m for m, c in out.items() if not c]:
+            del out[m]
+        return out
 
-    def product(self, what: str, partition: Partition) -> Fraction:
-        """The class prod e_{lambda_i} of a partition."""
-        return self.value(what, lambda rho, pid, e: prod(e[j] for j in partition))
-
-
-# A packed polynomial maps the monomial with exponents e to the int
-# sum e_i * B**i; B exceeds every total degree that occurs, so no exponent
-# carries and multiplying two monomials adds their keys.
-Packed = Dict[int, Fraction | int]
-
-
-def _mul_into(out: Packed, p: Packed, q: Packed) -> Packed:
-    """Add p * q into out; zero coefficients may stay behind."""
-    if len(p) > len(q):
-        p, q = q, p
-    get = out.get
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
-    return out
+    __rmul__ = __mul__
 
 
-def _nonzero(p: Packed) -> Packed:
-    return {m: c for m, c in p.items() if c}
+class _Table:
+    """The localization table of one dataset at the point t_1..t_k.
 
+    ``forms`` lists the factors of D; ``rows`` holds per fixed point its
+    sign, its weights as (sign, index into ``forms``) and the indices of
+    the factors of D / den_p; ``one`` is the unit of the ring of t."""
 
-class _Expanded:
-    """Exact localization table of one dataset over one common denominator.
-
-    D is the lcm of the sign-canonical denominators: each canonical form
-    to its highest multiplicity at any point.  Per point p the table holds
-    the multiplier M_p = sign_p * D / den_p and e_0..e_upto of its weight
-    forms, packed, with integer coefficients.  The sum of N_p / den_p is
-    then S / D with S = sum of N_p * M_p, and it is a constant c exactly
-    when S = c * D coefficient by coefficient.  Numerators may reach total
-    degree ``degree`` (default upto).
-    """
-
-    def __init__(self, data: FixedPointData, upto: int, degree: int | None = None):
-        dens = [[canonicalize(w) for w in p.weights] for p in data.points]
-        signs = [prod(s for s, _ in den) for den in dens]
-        counts = [Counter(rep for _, rep in den) for den in dens]
-        top = reduce(operator.or_, counts, Counter())
-        base = 1 + sum(top.values()) + max(upto if degree is None else degree, 0)
-        self.powers = [base ** i for i in range(data.torus_rank)]
-
-        def product(forms: Iterable[Weight], start: Packed) -> Packed:
-            for f in forms:
-                start = _nonzero(_mul_into({}, start, self.pack_form(f)))
-            return start
-
-        self.denominator = product(top.elements(), {0: 1})
-        self.multipliers = [product((top - count).elements(), {0: sign})
-                            for sign, count in zip(signs, counts)]
-        self.elems = []
-        for p in data.points:
-            levels: list[Packed] = [{0: 1}] + [{} for _ in range(upto)]
-            for i, w in enumerate(p.weights):
-                form = self.pack_form(w)
-                for d in range(min(upto, i + 1), 0, -1):
-                    levels[d] = _nonzero(
-                        _mul_into(dict(levels[d]), levels[d - 1], form))
-            self.elems.append(levels)
-        # per point, M_p * e_{lambda_1} * ... * e_{lambda_i} for each prefix
-        # of the last partition read; consecutive partitions share prefixes
+    def __init__(self, forms: Sequence[Weight], rows: Sequence, upto: int,
+                 point: Sequence, one=1):
+        at = [sum(map(operator.mul, rep, point)) for rep in forms]
+        self.point = point
+        self.denominator = prod(at, start=one)
+        self.multipliers = [sign * prod(map(at.__getitem__, rest), start=one)
+                            for sign, _, rest in rows]
+        self.elems = [elem_sym_scalars([s * at[i] for s, i in den], upto)
+                      for _, den, _ in rows]
+        # entry i: the last partition read cut to length i and, per point,
+        # M_p * e_{lambda_1} * ... * e_{lambda_i}
         self.chain = [((), self.multipliers)]
 
-    def pack_form(self, w: Weight) -> Packed:
-        return {v: a for v, a in zip(self.powers, w) if a}
+    def evaluate(self, poly: SparsePoly):
+        """A numerator at t; integral coefficients become int."""
+        return sum((c.numerator if c.denominator == 1 else c)
+                   * prod(x for x, d in zip(self.point, e) for _ in range(d))
+                   for e, c in poly.items())
 
-    def pack(self, poly: SparsePoly) -> Packed:
-        """A SparsePoly in packed form; integral coefficients become int."""
-        return {sum(map(operator.mul, e, self.powers)):
-                c.numerator if c.denominator == 1 else c
-                for e, c in poly.items()}
-
-    def quotient(self, s: Packed) -> Fraction:
-        """S / D, which must be a constant."""
-        s = _nonzero(s)
+    def ratio(self, s) -> Fraction:
+        """S / D, which must be a constant: Fraction(S, D) at an integer
+        point, the c with S = c * D coefficient by coefficient otherwise."""
+        den = self.denominator
+        if not isinstance(den, _Packed):
+            return Fraction(s, den)
         if not s:
             return Fraction(0)
-        den = self.denominator
         if s.keys() == den.keys():
             m0 = next(iter(den))
             s0, d0 = s[m0], den[m0]
@@ -211,30 +169,58 @@ class _Expanded:
             "localized sum is not a constant; the numerators do not "
             "come from a global class of integral degree")
 
-    def integral(self, numerators: Iterable[Packed]) -> Fraction:
-        """Sum of N_p / den_p for packed numerators in point order."""
-        s: Packed = {}
-        for num, mult in zip(numerators, self.multipliers):
-            _mul_into(s, num, mult)
-        return self.quotient(s)
+    def integral(self, numerators: Iterable) -> Fraction:
+        """Sum of N_p / den_p for numerators at t in point order."""
+        return self.ratio(sum(map(operator.mul, numerators, self.multipliers)))
 
-    def product(self, what: str, partition: Partition) -> Fraction:
-        """The class prod e_{lambda_i} of a partition.
-
-        ``what`` is unused: a refusal has one message for every class.
-        """
+    def product(self, partition: Partition) -> Fraction:
+        """The class prod e_{lambda_i} of a partition."""
         chain = self.chain
-        while partition[:len(chain[-1][0])] != chain[-1][0]:
+        while chain[-1][0] != partition[:len(chain) - 1]:
             chain.pop()
-        for j in partition[len(chain[-1][0]):]:
-            prefix, polys = chain[-1]
-            chain.append((prefix + (j,), [_nonzero(_mul_into({}, poly, e[j]))
-                                          for poly, e in zip(polys, self.elems)]))
-        s: Packed = {}
-        for poly in chain[-1][1]:
-            for m, c in poly.items():
-                s[m] = s.get(m, 0) + c
-        return self.quotient(s)
+        for j in partition[len(chain) - 1:]:
+            prefix, terms = chain[-1]
+            chain.append((prefix + (j,), [t * e[j] for t, e in zip(terms, self.elems)]))
+        return self.ratio(sum(chain[-1][1]))
+
+
+def _tables(data: FixedPointData, upto: int, mode: str,
+            degree: int | None = None) -> list[_Table]:
+    """The tables of the mode for classes up to degree upto: one at each
+    generic point, or one at the symbolic point.  Numerators may reach
+    total degree ``degree`` (default upto)."""
+    if mode == "generic":
+        # before canonicalize, so that a zero weight meets the schedule's error
+        schedule = generic_points(set(data.all_weights()), data.torus_rank)
+        rhos = (next(schedule), next(schedule))
+    elif mode != "expanded":
+        raise ValueError(f"unknown mode {mode!r}")
+    index: Dict[Tuple[Weight, int], int] = {}  # (form, copy at a point) -> factor of D
+    rows = []
+    for p in data.points:
+        sign, den, seen = 1, [], []
+        for w in p.weights:
+            s, rep = canonicalize(w)
+            sign *= s
+            den.append((s, index.setdefault((rep, seen.count(rep)), len(index))))
+            seen.append(rep)
+        rows.append((sign, den, {i for _, i in den}))
+    forms = [rep for rep, _ in index]
+    rows = [(sign, den, [i for i in range(len(forms)) if i not in mine])
+            for sign, den, mine in rows]
+    if mode == "generic":
+        return [_Table(forms, rows, upto, rho) for rho in rhos]
+    base = 1 + len(forms) + max(upto if degree is None else degree, 0)
+    symbolic = [_Packed({base ** i: 1}) for i in range(data.torus_rank)]
+    return [_Table(forms, rows, upto, symbolic, _Packed({0: 1}))]
+
+
+def _agreed(what: str, values: Sequence[Fraction]) -> Fraction:
+    """The value of a class at every point; the generic points must agree."""
+    if values[-1] != values[0]:
+        raise InconsistencyError(
+            f"{what} differs between generic points: {values[0]} vs {values[-1]}")
+    return values[0]
 
 
 def integrate(data: FixedPointData, numerators: Mapping[str, SparsePoly],
@@ -242,17 +228,13 @@ def integrate(data: FixedPointData, numerators: Mapping[str, SparsePoly],
     """Localized integral of per-point numerator classes."""
     _check_numerators(data, numerators)
     deg = max((poly_total_degree(q) for q in numerators.values()), default=0)
-    if mode == "expanded":
-        table = _Expanded(data, 0, deg)
-        return table.integral(table.pack(numerators[p.id]) for p in data.points)
-    if mode != "generic":
-        raise ValueError(f"unknown mode {mode!r}")
-    if deg > data.half_dim:
+    if mode == "generic" and deg > data.half_dim:
         raise ValueError(
             f"numerator degree {deg} exceeds half_dim {data.half_dim}; "
             "generic evaluation is unsound here, use mode='expanded'")
-    return _Kernel(data, 0).value(
-        "localized sum", lambda rho, pid, e: poly_eval(numerators[pid], rho))
+    return _agreed("localized sum", [
+        t.integral(t.evaluate(numerators[p.id]) for p in data.points)
+        for t in _tables(data, 0, mode, deg)])
 
 
 # ---------------------------------------------------------------------------
@@ -278,24 +260,15 @@ def chern_numerators(data: FixedPointData,
     return out
 
 
-def _table(data: FixedPointData, upto: int, mode: str) -> _Kernel | _Expanded:
-    """The localization table of the mode, for classes up to degree upto."""
-    if mode == "generic":
-        return _Kernel(data, upto)
-    if mode == "expanded":
-        return _Expanded(data, upto)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _chern_evaluator(data: FixedPointData, mode: str) -> Callable[[Partition], int]:
     """Integer Chern number of a sorted partition of half_dim.
 
-    The table is built here, once for all partitions.
+    The tables are built here, once for all partitions.
     """
-    table = _table(data, data.half_dim, mode)
+    tables = _tables(data, data.half_dim, mode)
 
     def number(part: Partition) -> int:
-        v = table.product(f"Chern value for {part}", part)
+        v = _agreed(f"Chern value for {part}", [t.product(part) for t in tables])
         if v.denominator != 1:
             raise InconsistencyError(
                 f"Chern number for {part} is not an integer: {v}")
@@ -342,12 +315,12 @@ def check_lower_degree_vanishing(data: FixedPointData,
                                  mode: str = "generic") -> ValidationReport:
     """Localized integrals of all classes of degree below half_dim must vanish."""
     n = data.half_dim
-    table = _table(data, max(n - 1, 0), mode)
+    tables = _tables(data, max(n - 1, 0), mode)
     witnesses = []
     for m in range(n):
         for part in partitions(m):
             try:
-                value = table.product("localized sum", part)
+                value = _agreed("localized sum", [t.product(part) for t in tables])
             except InconsistencyError as exc:
                 witnesses.append((part, str(exc)))
                 continue
@@ -376,14 +349,7 @@ def compare_chern(data: FixedPointData, other: FixedPointData,
     if data.half_dim != other.half_dim:
         raise ValueError(
             f"half dimensions differ: {data.half_dim} vs {other.half_dim}")
-    numbers = (_chern_evaluator(data, mode), _chern_evaluator(other, mode))
-    rows: Dict[Partition, Tuple[int | None, int | None]] = {}
-    for part in partitions(data.half_dim):
-        pair = []
-        for number in numbers:
-            try:
-                pair.append(number(part))
-            except InconsistencyError:
-                pair.append(None)
-        rows[part] = (pair[0], pair[1])
-    return ChernComparison(data.half_dim, rows)
+    a, b = chern_report(data, mode), chern_report(other, mode)
+    return ChernComparison(data.half_dim, {
+        part: (a.values.get(part), b.values.get(part))
+        for part in partitions(data.half_dim)})

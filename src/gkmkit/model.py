@@ -404,12 +404,16 @@ def check_edge_congruence(data: FixedPointData,
     its label, that is have equal sorted residues; info zips the two.
 
     Residues are compared as packed ints (see ``_PackedResidues``), which
-    are equal exactly when the ``residue_mod`` tuples are.
+    are equal exactly when the ``residue_mod`` tuples are.  An edge with an
+    endpoint the data lacks is a witness.
     """
     kernel = _PackedResidues(data, (e.label for e in graph.edges))
     witnesses = []
     info = []
     for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label)):
+        if e.from_id not in data._by_id or e.to_id not in data._by_id:
+            witnesses.append((e.from_id, e.to_id, e.label))
+            continue
         res = kernel.residues(e.label, (e.from_id, e.to_id))
         left = sorted(zip(res[e.from_id], data.point(e.from_id).weights))
         right = sorted(zip(res[e.to_id], data.point(e.to_id).weights))

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 Weight = Tuple[int, ...]
@@ -78,8 +79,9 @@ def pivot_index(w: Weight) -> int:
 
 def canonicalize(w: Weight) -> Tuple[int, Weight]:
     """Split ``w`` into (sign, representative with positive leading entry)."""
-    s = 1 if w[pivot_index(w)] > 0 else -1
-    return s, tuple(s * a for a in w)
+    if w[pivot_index(w)] > 0:
+        return 1, tuple(w)
+    return -1, tuple(-a for a in w)
 
 
 def parallel(u: Weight, v: Weight) -> bool:
@@ -178,7 +180,7 @@ def generic_points(forms: Iterable[Weight], k: int | None = None) -> Iterator[We
     n_cand = 2
     while True:
         xi = (n_cand - 1,) if k == 1 else tuple(n_cand ** i for i in range(k))
-        if all(dot(xi, f) != 0 for f in forms):
+        if all(sum(map(mul, xi, f)) for f in forms):
             yield xi
         n_cand += 1
 
@@ -328,9 +330,14 @@ def elem_sym_all(forms: Sequence[Weight], upto: int,
     return levels
 
 
-def elem_sym_scalars(values: Sequence[Scalar], upto: int) -> list[Scalar]:
-    """e_0..e_upto of a list of scalars; integer values give ``int`` results."""
-    levels: list[Scalar] = [1] + [0] * upto
+def elem_sym_scalars(values: Sequence, upto: int) -> list:
+    """e_0..e_upto of a list of ring elements; e_0 is the int 1.
+
+    Any values with ``+`` and ``*`` that take ints on either side will
+    do: integers give ``int`` results, and a localization table passes
+    its weight forms evaluated at a generic point or at the symbolic one.
+    """
+    levels: list = [1] + [0] * upto
     for v in values:
         for d in range(upto, 0, -1):
             levels[d] += v * levels[d - 1]

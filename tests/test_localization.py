@@ -1,5 +1,6 @@
 """Localization engine: integrals, Chern numbers, modes, consistency checks."""
 
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -245,6 +246,46 @@ class TestModeAgreement:
                 assert chern_number(data, part, "generic") == integrate(
                     data, nums, "generic")
 
+    @staticmethod
+    def vanishing_values(data, mode):
+        """Per class of degree below half_dim: its value, or None if refused."""
+        witnesses = dict(check_lower_degree_vanishing(data, mode).result(
+            "lower_degree_vanishing").witnesses)
+        out = {}
+        for m in range(data.half_dim):
+            for part in partitions(m):
+                msg = witnesses.get(part, "0")
+                out[part] = None if msg.startswith("localized sum") else Fraction(msg)
+        return out
+
+    def test_generic_is_one_sided_against_expanded(self):
+        # generic may still certify a value on two-point luck, so only this
+        # direction holds: it never refuses what expanded accepts
+        rng = random.Random(20261019)
+        seen = Counter()
+        for _ in range(1000):
+            data = random_small_data(rng)
+            gen, exp = chern_report(data), chern_report(data, "expanded")
+            pairs = [(gen.values.get(part), exp.values.get(part))
+                     for part in partitions(data.half_dim)]
+            gen_zero, exp_zero = (self.vanishing_values(data, mode)
+                                  for mode in ("generic", "expanded"))
+            pairs += [(gen_zero[part], e) for part, e in exp_zero.items()]
+            for g, e in pairs:
+                if g is not None and e is not None:
+                    assert g == e, data
+                    seen["equal"] += 1
+                elif g is None:
+                    assert e is None, data
+                    seen["both refused"] += 1
+                else:
+                    seen["generic only"] += 1
+            assert gen.ok or not exp.ok, data
+            gen_pass, exp_pass = (check_lower_degree_vanishing(data, mode).passed
+                                  for mode in ("generic", "expanded"))
+            assert gen_pass or not exp_pass, data
+        assert seen["equal"] > 500 and seen["both refused"] > 500, seen
+
 
 class TestInvariance:
     def test_chern_numbers_are_gl_invariant(self, rng):
@@ -388,7 +429,7 @@ class TestExpanded:
     @staticmethod
     def table_value(table, part):
         try:
-            return table.product("unused", part)
+            return table.product(part)
         except InconsistencyError as exc:
             assert "not a constant" in str(exc)
             return None
@@ -397,7 +438,7 @@ class TestExpanded:
         seen = Counter()
         for _ in range(200):
             data = random_small_data(rng)
-            table = localization._Expanded(data, data.half_dim)
+            (table,) = localization._tables(data, data.half_dim, "expanded")
             for m in range(data.half_dim + 1):
                 for part in partitions(m):
                     exact = factored_sum_value(data, part)
@@ -410,7 +451,7 @@ class TestExpanded:
         # would read c = 0 here
         data = refuted_sum()
         assert factored_sum_value(data, (1,)) is None
-        assert self.table_value(localization._Expanded(data, 3), (1,)) is None
+        assert self.table_value(localization._tables(data, 3, "expanded")[0], (1,)) is None
         with pytest.raises(InconsistencyError, match="not a constant"):
             integrate(data, chern_numerators(data, (1,)), "expanded")
         rep = check_lower_degree_vanishing(data, "expanded")
@@ -427,7 +468,8 @@ class TestExpanded:
         data = cpn(2).data
         nums = {pid: {e: c / 3 for e, c in q.items()}
                 for pid, q in chern_numerators(data, (1, 1)).items()}
-        assert integrate(data, nums, "expanded") == 3
+        for mode in ("expanded", "generic"):
+            assert integrate(data, nums, mode) == 3
 
     def test_no_symbolic_reference_calls(self, monkeypatch):
         calls = Counter()

@@ -339,6 +339,16 @@ class TestDescribes:
         rep = check_describes(entry.data, graph)
         assert not rep.passed
 
+    def test_edge_to_unknown_vertex_is_a_witness(self):
+        data = FixedPointData(1, 1, (FixedPoint("p", ((1,),)),
+                                     FixedPoint("q", ((-1,),))))
+        graph = Multigraph(("p", "x"), (Edge("p", "x", (1,)),))
+        rep = check_describes(data, graph)
+        assert rep.result("describes").witnesses == (
+            ("vertex_set", ("p", "x"), ("p", "q")),)
+        assert rep.result("edge_congruence").witnesses == (("p", "x", (1,)),)
+        assert not validate_all(data, graph).result("describes").passed
+
     def test_simple(self):
         assert check_simple(cpn(3).graph).passed
         rep = check_simple(fano("V5").graph)
