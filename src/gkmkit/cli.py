@@ -303,65 +303,86 @@ def cmd_example(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("validate", "genus", "chern", "petrie", "graph", "example")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The gkmkit parser, with only the subparser of ``command`` when that
+    names one of ``COMMANDS``, else with all of them.
+
+    Only the full parser can say that a command is missing or unknown; the
+    explicit metavar keeps the one-command parser's usage line the same.
+    """
+    if command not in COMMANDS:
+        command = None
     parser = _Parser(prog="gkmkit",
                      description="validate and analyze torus fixed-point data")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
 
-    p = sub.add_parser("validate", help="run all applicable checks")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
+    if command in (None, "validate"):
+        p = sub.add_parser("validate", help="run all applicable checks")
+        p.add_argument("file")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("genus", help="chi_y genus and its specializations")
-    p.add_argument("file")
-    p.add_argument("--xi", help="comma-separated circle, e.g. 1,3")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_genus)
+    if command in (None, "genus"):
+        p = sub.add_parser("genus", help="chi_y genus and its specializations")
+        p.add_argument("file")
+        p.add_argument("--xi", help="comma-separated circle, e.g. 1,3")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_genus)
 
-    p = sub.add_parser("chern", help="Chern numbers by localization")
-    p.add_argument("file")
-    p.add_argument("--partition", help="comma-separated partition, e.g. 1,1,2")
-    p.add_argument("--all", action="store_true", help="all partitions (default)")
-    p.add_argument("--mode", choices=("generic", "expanded"),
-                   help="localization mode: generic (two evaluation points) or "
-                        "expanded (exact polynomial identity); default "
-                        "$GKMKIT_MODE, else generic")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_chern)
+    if command in (None, "chern"):
+        p = sub.add_parser("chern", help="Chern numbers by localization")
+        p.add_argument("file")
+        p.add_argument("--partition", help="comma-separated partition, e.g. 1,1,2")
+        p.add_argument("--all", action="store_true", help="all partitions (default)")
+        p.add_argument("--mode", choices=("generic", "expanded"),
+                       help="localization mode: generic (two evaluation points) or "
+                            "expanded (exact polynomial identity); default "
+                            "$GKMKIT_MODE, else generic")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_chern)
 
-    p = sub.add_parser("petrie", help="compare against the linear model")
-    p.add_argument("file")
-    p.add_argument("--up-to-gl", action="store_true",
-                   help="also report that normalizing by the recovered basis "
-                        "gives the standard model")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_petrie)
+    if command in (None, "petrie"):
+        p = sub.add_parser("petrie", help="compare against the linear model")
+        p.add_argument("file")
+        p.add_argument("--up-to-gl", action="store_true",
+                       help="also report that normalizing by the recovered basis "
+                            "gives the standard model")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_petrie)
 
-    p = sub.add_parser("graph", help="export or build the describing multigraph")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--build", action="store_true",
-                   help="rebuild even when the file carries edges")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_graph)
+    if command in (None, "graph"):
+        p = sub.add_parser("graph", help="export or build the describing multigraph")
+        p.add_argument("file")
+        p.add_argument("--format", choices=("dot", "json"), default="dot")
+        p.add_argument("--build", action="store_true",
+                       help="rebuild even when the file carries edges")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("example", help="emit a catalog dataset")
-    p.add_argument("name",
-                   choices=("cpn", "cp3_nongkm", "s6", "s6_blowup", "fano"))
-    p.add_argument("--n", type=int, default=2, help="dimension for cpn")
-    p.add_argument("--basis", help="semicolon-separated rows, e.g. 1,0;1,1")
-    p.add_argument("--a", default="1,0", help="first parameter vector")
-    p.add_argument("--b", default="0,1", help="second parameter vector")
-    p.add_argument("--variant", default="V5", help="fano variant: V5 or V22")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_example)
+    if command in (None, "example"):
+        p = sub.add_parser("example", help="emit a catalog dataset")
+        p.add_argument("name",
+                       choices=("cpn", "cp3_nongkm", "s6", "s6_blowup", "fano"))
+        p.add_argument("--n", type=int, default=2, help="dimension for cpn")
+        p.add_argument("--basis", help="semicolon-separated rows, e.g. 1,0;1,1")
+        p.add_argument("--a", default="1,0", help="first parameter vector")
+        p.add_argument("--b", default="0,1", help="second parameter vector")
+        p.add_argument("--variant", default="V5", help="fano variant: V5 or V22")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_example)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    # not cached: a gkmkit process calls main once
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -137,6 +137,8 @@ class _Table:
                  point: Sequence, one=1):
         at = [sum(map(operator.mul, rep, point)) for rep in forms]
         self.point = point
+        self.upto = upto
+        self.width = max((len(den) for _, den, _ in rows), default=0)
         self.denominator = prod(at, start=one)
         self.multipliers = [sign * prod(map(at.__getitem__, rest), start=one)
                             for sign, _, rest in rows]
@@ -174,7 +176,16 @@ class _Table:
         return self.ratio(sum(map(operator.mul, numerators, self.multipliers)))
 
     def product(self, partition: Partition) -> Fraction:
-        """The class prod e_{lambda_i} of a partition."""
+        """The class prod e_{lambda_i} of a partition.
+
+        e_j vanishes at a point with fewer than j weights, so a part above
+        every point's weight count gives the zero class; a part above
+        ``upto`` but not above that count was not tabulated."""
+        top = max(partition, default=0)
+        if top > self.upto:
+            if top <= self.width:
+                raise ValueError(f"e_{top} is above the table's degree {self.upto}")
+            return Fraction(0)
         chain = self.chain
         while chain[-1][0] != partition[:len(chain) - 1]:
             chain.pop()
@@ -255,7 +266,8 @@ def chern_numerators(data: FixedPointData,
         elems = elem_sym_all(p.weights, min(upto, len(p.weights)), k)
         num = poly_const(k, 1)
         for part in partition:
-            num = poly_mul(num, elems[part])
+            # e_j vanishes above the point's weight count
+            num = poly_mul(num, elems[part]) if part < len(elems) else {}
         out[p.id] = num
     return out
 

@@ -83,6 +83,13 @@ class FixedPointData:
         # first point wins on a repeated id; not a field, so eq and repr skip it
         return {p.id: p for p in reversed(self.points)}
 
+    @cached_property
+    def _non_basis_point(self) -> FixedPoint | None:
+        """The first point whose weights are not a lattice basis, if any;
+        ``parse`` and the Petrie precondition both read it."""
+        return next((p for p in self.points if not is_unimodular_basis(p.weights)),
+                    None)
+
     def all_weights(self) -> Tuple[Weight, ...]:
         return tuple(w for p in self.points for w in p.weights)
 
@@ -212,14 +219,11 @@ def parse(raw: bytes | str) -> Tuple[FixedPointData, Multigraph | None]:
                 raise ParseError(f"zero weight at point {pid}")
         points.append(FixedPoint(pid, weights))
 
-    if tm:
-        if k != n:
-            raise ParseError(f"torus_manifold needs torus_rank == half_dim, got {k} != {n}")
-        for p in points:
-            if not is_unimodular_basis(p.weights):
-                raise ParseError(f"weights at {p.id} are not a lattice basis")
-
+    if tm and k != n:
+        raise ParseError(f"torus_manifold needs torus_rank == half_dim, got {k} != {n}")
     data = FixedPointData(k, n, tuple(points), tm)
+    if tm and data._non_basis_point is not None:
+        raise ParseError(f"weights at {data._non_basis_point.id} are not a lattice basis")
 
     graph = None
     if "edges" in doc:

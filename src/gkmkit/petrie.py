@@ -11,22 +11,25 @@ weight sum, the assignment is unique when it exists, and one pass over
 the points checks each multiset against its pattern.  On success the
 report carries the recovered character basis, the lattice-simplex
 realization, the divisor relations of the induced complete graph, and
-the invariant table.
+the invariant table.  The paper's Petrie-type theorem gives that table
+in closed form: matched data is linear CP^n in the recovered basis, so
+chi_y has all n + 1 coefficients one and the total Chern class is
+(1 + x)^(n+1) with x^n integrating to one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, prod
 from typing import Dict, Tuple
 
-from .genus import ChiYPolynomial, chi_y
-from .localization import chern_report
+from .genus import ChiYPolynomial
+from .localization import partitions
 from .model import FixedPointData, Multigraph
 from .weights import (
     Weight,
     frac_add,
     fraction,
-    is_unimodular_basis,
     neg,
     parallel,
     poly_const,
@@ -63,6 +66,23 @@ def expected_chi_y(n: int) -> ChiYPolynomial:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     return ChiYPolynomial((1,) * (n + 1))
+
+
+def _model_invariants(n: int) -> Dict[str, object]:
+    """Invariant table of linear CP^n, which every match shares.
+
+    chi_y has all coefficients one, so euler = n + 1, todd = 1 and the
+    signature is 1 for even n, 0 for odd n; c_i = C(n+1, i) x^i, so the
+    Chern number of a partition is the product of C(n+1, part).
+    """
+    return {
+        "chi_y": expected_chi_y(n).coeffs,
+        "euler": n + 1,
+        "todd": 1,
+        "signature": 1 - n % 2,
+        "chern": {part: prod(comb(n + 1, j) for j in part)
+                  for part in sorted(partitions(n))},
+    }
 
 
 def triangle_identity(w0i: Weight, w0j: Weight, wij: Weight) -> bool:
@@ -117,9 +137,8 @@ def _precondition_witness(data: FixedPointData) -> str | None:
     if data.torus_rank != data.half_dim:
         return (f"torus rank {data.torus_rank} differs from "
                 f"half dimension {data.half_dim}")
-    for p in data.points:
-        if not is_unimodular_basis(p.weights):
-            return f"weights at {p.id} are not a lattice basis"
+    if data._non_basis_point is not None:
+        return f"weights at {data._non_basis_point.id} are not a lattice basis"
     if len(data.points) != data.half_dim + 1:
         return (f"expected {data.half_dim + 1} fixed points, "
                 f"found {len(data.points)}")
@@ -152,19 +171,10 @@ def petrie_verify(data: FixedPointData, graph: Multigraph | None = None,
                 relabeling=relabeling, graph_consistent=False,
                 witness=graph_witness)
 
-    genus = chi_y(data)
-    chern = chern_report(data)
-    invariants: Dict[str, object] = {
-        "chi_y": genus.coeffs,
-        "euler": genus.euler,
-        "todd": genus.todd,
-        "signature": genus.signature,
-        "chern": dict(sorted(chern.values.items())),
-    }
     simplex = ((0,) * data.half_dim,) + basis
     return PetrieReport(
         "match", base_point=base_id, basis=basis, relabeling=relabeling,
-        simplex=simplex, invariants=invariants,
+        simplex=simplex, invariants=_model_invariants(data.half_dim),
         graph_consistent=graph_consistent,
         # the inverse basis maps matched data onto the standard model
         gl_normalized_equal=True if up_to_gl else None)

@@ -2,12 +2,18 @@
 
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gkmkit import parse, serialize
+from gkmkit import cli, cpn, parse, serialize, transform, weights
 from gkmkit.cli import main
+
+from conftest import random_relabel, random_unimodular, shuffled
 
 
 def run(capsys, *argv):
@@ -188,6 +194,22 @@ class TestPetrie:
         assert {"partition": [1, 1], "value": 9} in doc["invariants"]["chern"]
 
 
+    def test_one_lattice_check_per_point(self, capsys, tmp_path, monkeypatch):
+        # parse checks the lattice bases once, and the precondition reads that
+        rng = random.Random(2100)
+        n = 6
+        moved = transform(cpn(n).data, random_unimodular(rng, n))
+        data = shuffled(rng, random_relabel(rng, moved, prefix="d")[0])
+        path = tmp_path / "disguised.json"
+        path.write_text(serialize(data))
+        calls = []
+        det = weights.det
+        monkeypatch.setattr(weights, "det", lambda rows: calls.append(rows) or det(rows))
+        code, out, _ = run(capsys, "petrie", str(path), "--json")
+        assert code == 0 and json.loads(out)["verdict"] == "match"
+        assert len(calls) == n + 1
+
+
 class TestGraph:
     def test_dot_shows_parallel_edges(self, capsys, tmp_path):
         path = tmp_path / "v22.json"
@@ -315,6 +337,161 @@ class TestUsageAndIo:
             assert code == 4, command
             assert "edge endpoint must be a non-empty string" in err
             assert "Traceback" not in err and out == ""
+
+
+TOP_USAGE = "usage: gkmkit [-h] {validate,genus,chern,petrie,graph,example} ...\n"
+TOP_HELP = TOP_USAGE + """
+validate and analyze torus fixed-point data
+
+positional arguments:
+  {validate,genus,chern,petrie,graph,example}
+    validate            run all applicable checks
+    genus               chi_y genus and its specializations
+    chern               Chern numbers by localization
+    petrie              compare against the linear model
+    graph               export or build the describing multigraph
+    example             emit a catalog dataset
+
+options:
+  -h, --help            show this help message and exit
+"""
+COMMAND_HELP = {
+    "validate": """usage: gkmkit validate [-h] [--json] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+  --json
+""",
+    "genus": """usage: gkmkit genus [-h] [--xi XI] [--json] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+  --xi XI     comma-separated circle, e.g. 1,3
+  --json
+""",
+    "chern": """usage: gkmkit chern [-h] [--partition PARTITION] [--all]
+                    [--mode {generic,expanded}] [--json]
+                    file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --partition PARTITION
+                        comma-separated partition, e.g. 1,1,2
+  --all                 all partitions (default)
+  --mode {generic,expanded}
+                        localization mode: generic (two evaluation points) or
+                        expanded (exact polynomial identity); default
+                        $GKMKIT_MODE, else generic
+  --json
+""",
+    "petrie": """usage: gkmkit petrie [-h] [--up-to-gl] [--json] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+  --up-to-gl  also report that normalizing by the recovered basis gives the
+              standard model
+  --json
+""",
+    "graph": """usage: gkmkit graph [-h] [--format {dot,json}] [--build] [--out OUT] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help           show this help message and exit
+  --format {dot,json}
+  --build              rebuild even when the file carries edges
+  --out OUT
+""",
+    "example": """usage: gkmkit example [-h] [--n N] [--basis BASIS] [--a A] [--b B]
+                      [--variant VARIANT] [--out OUT]
+                      {cpn,cp3_nongkm,s6,s6_blowup,fano}
+
+positional arguments:
+  {cpn,cp3_nongkm,s6,s6_blowup,fano}
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 dimension for cpn
+  --basis BASIS         semicolon-separated rows, e.g. 1,0;1,1
+  --a A                 first parameter vector
+  --b B                 second parameter vector
+  --variant VARIANT     fano variant: V5 or V22
+  --out OUT
+""",
+}
+FRONT_DOOR = [
+    (["--help"], 0, TOP_HELP, ""),
+    ([], 64, "", TOP_USAGE + "gkmkit: error: the following arguments are required: "
+                             "command\n"),
+    (["bogus"], 64, "", TOP_USAGE + "gkmkit: error: argument command: invalid choice: "
+     "'bogus' (choose from 'validate', 'genus', 'chern', 'petrie', 'graph', "
+     "'example')\n"),
+    (["-h", "chern"], 0, TOP_HELP, ""),
+    (["chern", "--bogus", "FILE"], 64, "",
+     TOP_USAGE + "gkmkit: error: unrecognized arguments: --bogus\n"),
+    (["graph", "FILE", "--format", "svg"], 64, "",
+     "usage: gkmkit graph [-h] [--format {dot,json}] [--build] [--out OUT] file\n"
+     "gkmkit graph: error: argument --format: invalid choice: 'svg' "
+     "(choose from 'dot', 'json')\n"),
+] + [([name, "-h"], 0, text, "") for name, text in COMMAND_HELP.items()]
+
+
+class TestFrontDoor:
+    """Help, usage errors and the parsers each call builds."""
+
+    @pytest.mark.parametrize("argv, code, out, err", FRONT_DOOR,
+                             ids=[" ".join(case[0]) or "<none>" for case in FRONT_DOOR])
+    def test_pinned_output(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *argv) == (code, out, err)
+
+    def test_one_subparser_per_command(self, capsys, cp2_file, monkeypatch):
+        progs = set()
+        add_argument = cli._Parser.add_argument
+
+        def spy(parser, *args, **kwargs):
+            progs.add(parser.prog)
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "add_argument", spy)
+        assert run(capsys, "validate", cp2_file, "--json")[0] == 0
+        assert progs == {"gkmkit", "gkmkit validate"}
+
+
+class TestEntryPoint:
+    """``python -m gkmkit.cli`` reads its arguments from ``sys.argv``."""
+
+    @staticmethod
+    def gkmkit(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, COLUMNS="80")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "gkmkit.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_chern_json(self, capsys, cp2_file):
+        proc = self.gkmkit("chern", cp2_file, "--json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert run(capsys, "chern", cp2_file, "--json") == (0, proc.stdout, "")
+
+    def test_unknown_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        proc = self.gkmkit("bogus")
+        assert (proc.returncode, proc.stdout) == (64, "")
+        assert run(capsys, "bogus") == (64, "", proc.stderr)
 
 
 EDGE_DOC = """{"torus_rank": 2, "half_dim": 2, "torus_manifold": true,

@@ -154,6 +154,16 @@ class TestIntegrate:
         nums = chern_numerators(data, (1, 1, 1))
         assert integrate(data, nums, "expanded") == 0
 
+    def test_part_above_half_dim_is_the_zero_class(self):
+        data = cpn(2).data
+        assert integrate(data, chern_numerators(data, (3,)), "expanded") == 0
+        for mode in ("generic", "expanded"):
+            for table in localization._tables(data, 2, mode):
+                assert table.product((3,)) == 0
+                assert table.product((3, 1)) == 0
+            with pytest.raises(ValueError, match="degree 1"):
+                localization._tables(data, 1, mode)[0].product((2,))
+
     def test_unknown_mode(self):
         data = cpn(1).data
         with pytest.raises(ValueError, match="mode"):

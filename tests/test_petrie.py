@@ -11,7 +11,9 @@ from gkmkit import (
     FixedPointData,
     Multigraph,
     Relation,
+    all_entries,
     chern_report,
+    chi_y,
     cpn,
     expected_chi_y,
     gkm_relations,
@@ -278,6 +280,37 @@ class TestRelationsAndSimplex:
         for r in rels:
             assert r.divisor in set(renamed.point(r.from_id).weights)
             assert tuple(-x for x in r.divisor) in set(renamed.point(r.to_id).weights)
+
+
+class TestClosedFormInvariants:
+    """A match reports linear CP^n's invariants in closed form.
+
+    chi_y and chern_report, run on the data itself, are the oracle.
+    """
+
+    @staticmethod
+    def assert_oracle(data):
+        report = petrie_verify(data)
+        assert report.matched
+        genus = chi_y(data)
+        chern = dict(sorted(chern_report(data).values.items()))
+        inv = report.invariants
+        assert list(inv.items()) == [
+            ("chi_y", genus.coeffs), ("euler", genus.euler), ("todd", genus.todd),
+            ("signature", genus.signature), ("chern", chern)]
+        assert list(inv["chern"].items()) == list(chern.items())
+
+    def test_catalog_torus_manifolds(self):
+        entries = [e for e in all_entries() if e.data.torus_manifold]
+        assert len(entries) == 4
+        for entry in entries:
+            self.assert_oracle(entry.data)
+
+    def test_disguised_cpn(self):
+        rng = random.Random(1700)
+        for n in range(1, 10):
+            moved = transform(cpn(n).data, random_unimodular(rng, n))
+            self.assert_oracle(shuffled(rng, random_relabel(rng, moved, prefix="d")[0]))
 
 
 def ambiguous(rows, names=None) -> FixedPointData:
