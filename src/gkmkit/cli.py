@@ -150,7 +150,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_genus(args: argparse.Namespace) -> int:
     data, _ = _load(args.file)
-    xi = _parse_vector(args.xi) if args.xi else None
+    xi = _parse_vector(args.xi) if args.xi is not None else None
     try:
         genus = chi_y(data, xi)
     except (NonGenericCircleError, ValueError) as exc:
@@ -184,7 +184,7 @@ def cmd_genus(args: argparse.Namespace) -> int:
 def cmd_chern(args: argparse.Namespace) -> int:
     data, _ = _load(args.file)
     mode = args.mode or _default_mode()
-    if args.partition:
+    if args.partition is not None:
         part = _parse_vector(args.partition)
         try:
             value = chern_number(data, part, mode)
@@ -284,7 +284,7 @@ def cmd_example(args: argparse.Namespace) -> int:
     name = args.name
     try:
         if name == "cpn":
-            basis = _parse_basis(args.basis) if args.basis else None
+            basis = _parse_basis(args.basis) if args.basis is not None else None
             entry = cat.cpn(args.n, basis)
         elif name == "cp3_nongkm":
             entry = cat.cp3_nongkm()

@@ -93,30 +93,61 @@ def parallel(u: Weight, v: Weight) -> bool:
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Determinant of a square integer matrix (fraction-free Bareiss).
+
+    Each step eliminates the leading column of the shrinking trailing
+    block.  The pivot is the remaining row with the least non-zero
+    |leading entry|, and the first +-1 ends the search.  The pivot row is
+    swapped to the top and negated if needed so that the pivot is
+    positive; ``sign`` records both.  Every entry of every block is then
+    a minor of the matrix with its rows permuted and some negated, so
+    each division by the previous pivot is exact (Bareiss 1968) and, by
+    Hadamard's bound, no entry exceeds the product of the Euclidean
+    norms of the rows: the cost stays polynomial.  With both pivots 1 a
+    step is ``x - f*y``; a row whose leading entry is 0 is only rescaled
+    by pivot / previous pivot.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     if n == 0:
         return 1
-    a = [list(r) for r in rows]
+    block = list(rows)
     sign = 1
     prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
+    while len(block) > 1:
+        at, least = -1, 0
+        for i, row in enumerate(block):
+            lead = abs(row[0])
+            if lead and (at < 0 or lead < least):
+                at, least = i, lead
+                if lead == 1:
                     break
+        if at < 0:
+            return 0
+        top = block[at]
+        if at:
+            block[at] = block[0]
+            sign = -sign
+        if top[0] < 0:
+            top = [-y for y in top]
+            sign = -sign
+        pivot, tail = top[0], top[1:]
+        unit = pivot == prev == 1
+        nxt = []
+        for row in block[1:]:
+            f = row[0]
+            if not f:
+                nxt.append(row[1:] if pivot == prev
+                           else [pivot * x // prev for x in row[1:]])
+            elif unit:
+                nxt.append([x - f * y for x, y in zip(row[1:], tail)])
             else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
+                nxt.append([(pivot * x - f * y) // prev
+                            for x, y in zip(row[1:], tail)])
+        block = nxt
+        prev = pivot
+    return sign * block[0][0]
 
 
 def is_unimodular_basis(vectors: Sequence[Weight]) -> bool:

@@ -326,6 +326,26 @@ class TestUsageAndIo:
         assert err.startswith("error: cannot write") and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("chern", "{file}", "--partition="),
+        ("genus", "{file}", "--xi="),
+        ("example", "cpn", "--n", "2", "--basis="),
+    ])
+    def test_empty_option_value(self, capsys, cp2_file, argv):
+        code, out, err = run(capsys, *(a.format(file=cp2_file) for a in argv))
+        assert code == 64
+        assert err == "error: not an integer vector: ''\n" and out == ""
+
+    def test_non_basis_point_exits_4(self, capsys, tmp_path):
+        doc = {"torus_rank": 2, "half_dim": 2, "torus_manifold": True,
+               "fixed_points": [{"id": "p", "weights": [[2, 3], [3, 5]]},
+                                {"id": "q", "weights": [[2, 1], [4, 3]]}]}
+        path = tmp_path / "det2.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 4 and out == ""
+        assert "weights at q are not a lattice basis" in err
+
     @pytest.mark.parametrize("endpoint", [["p0"], {"id": "p0"}, 0, None, ""])
     def test_edge_endpoint_not_a_string(self, capsys, tmp_path, endpoint):
         doc = json.loads(EDGE_DOC)

@@ -183,6 +183,17 @@ class TestParsing:
         with pytest.raises(ParseError, match="torus_rank == half_dim"):
             parse(json.dumps(doc2))
 
+    def test_lattice_basis_without_unit_pivot(self):
+        # no weight has a +-1 entry, so det needs non-unit pivots
+        doc = {"torus_rank": 2, "half_dim": 2, "torus_manifold": True,
+               "fixed_points": [{"id": "p", "weights": [[2, 3], [3, 5]]},
+                                {"id": "q", "weights": [[-2, -3], [-3, -5]]}]}
+        data, _ = parse(json.dumps(doc))
+        assert [p.id for p in data.points] == ["p", "q"]
+        doc["fixed_points"][1]["weights"] = [[2, 1], [4, 3]]  # det 2
+        with pytest.raises(ParseError, match="weights at q are not a lattice basis"):
+            parse(json.dumps(doc))
+
 
 class TestBasicChecks:
     def test_pairing_passes_on_catalog(self):

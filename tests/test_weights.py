@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -106,6 +108,73 @@ class TestDeterminant:
     def test_inverse_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             mat_inverse_unimodular(((2, 0), (0, 1)))
+
+    # every pivot choice the elimination can meet, forced
+    FORCED = [
+        ((0, 1, 2), (0, 3, 4), (0, 5, 6)),          # zero leading column
+        ((2, 3), (3, 5)),                           # no unit in the column
+        ((4, 1, 0), (-2, 5, 1), (6, 0, 3)),         # negative least pivot
+        ((-3, 1, 2), (5, 0, 1), (7, 2, 2)),         # negative pivot in row 0
+        ((3, 1), (1, 2)),                           # pivot in row 1
+        ((3, 1, 4, 1), (5, 9, 2, 6), (6, 5, 3, 5), (1, 2, 7, 9)),  # pivot in row 3
+        ((1, 2, 3), (4, 5, 6), (1, 2, 3)),          # repeated rows
+        ((2, 4, 1), (2, 4, 1), (2, 4, 1)),          # all rows equal
+        ((2, 1, 1), (4, 1, 3), (6, 2, 5)),          # non-unit pivots only
+        ((2, 1, 1), (0, 3, 1), (4, 1, 5)),          # zero lead, pivot 2
+        ((1, 2, 3), (0, 4, 5), (2, 1, 1)),          # zero lead, pivot 1
+    ]
+
+    @pytest.mark.parametrize("rows", FORCED)
+    def test_forced_pivots_match_leibniz(self, rows):
+        assert det(rows) == _leibniz(rows)
+
+    def test_forced_pivots_transposed_and_negated(self):
+        for rows in self.FORCED:
+            cols = tuple(zip(*rows))
+            neg_first = (tuple(-x for x in rows[0]),) + tuple(rows[1:])
+            assert det(cols) == _leibniz(rows)
+            assert det(neg_first) == -_leibniz(rows)
+
+    def test_matches_leibniz_on_seeded_corpus(self):
+        rng = random.Random(20261017)
+        for _ in range(3000):
+            n = rng.randint(0, 6)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            roll = rng.random()
+            if n and roll < 0.1:
+                for r in rows:
+                    r[0] = 0
+            elif n > 1 and roll < 0.25:
+                rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+            elif n and roll < 0.4:
+                # no unit in the leading column
+                for r in rows:
+                    r[0] = rng.choice((-4, -3, -2, 0, 2, 3, 4))
+            assert det(rows) == _leibniz(rows), rows
+
+    def test_large_unimodular(self):
+        rng = random.Random(40)
+        for n in range(1, 41):
+            assert det(random_unimodular(rng, n)) in (1, -1)
+
+
+@functools.cache
+def _signed_permutations(n):
+    out = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        out.append((-1 if inversions % 2 else 1, perm))
+    return out
+
+
+def _leibniz(rows):
+    """Determinant as the signed sum over permutations (independent oracle)."""
+    total = 0
+    for term, perm in _signed_permutations(len(rows)):
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
 
 
 class TestGenericPoints:
