@@ -97,7 +97,7 @@ def _load(path: str):
 
 
 def _write_out(text: str, path: str | None) -> None:
-    if not path:
+    if path is None:
         sys.stdout.write(text)
         return
     try:

@@ -170,11 +170,12 @@ def _parse_vector(value: object, k: int, what: str) -> Weight:
 
 def parse(raw: bytes | str) -> Tuple[FixedPointData, Multigraph | None]:
     """Parse a JSON document into fixed-point data plus an optional graph."""
-    if isinstance(raw, (bytes, bytearray)):
-        raw = raw.decode("utf-8")
     try:
+        # bad UTF-8, bad JSON and over-long integer literals are ValueErrors
+        if isinstance(raw, (bytes, bytearray)):
+            raw = raw.decode("utf-8")
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("JSON document is nested too deeply") from exc

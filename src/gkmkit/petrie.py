@@ -26,15 +26,7 @@ from typing import Dict, Tuple
 from .genus import ChiYPolynomial
 from .localization import partitions
 from .model import FixedPointData, Multigraph
-from .weights import (
-    Weight,
-    frac_add,
-    fraction,
-    neg,
-    parallel,
-    poly_const,
-    sub,
-)
+from .weights import Weight, neg, parallel, sub
 
 
 @dataclass(frozen=True)
@@ -95,12 +87,7 @@ def triangle_identity(w0i: Weight, w0j: Weight, wij: Weight) -> bool:
         raise ValueError(f"degenerate triangle: {w0i} and {w0j} are parallel")
     if not any(wij):
         raise ValueError("zero weight in triangle")
-    k = len(w0i)
-    one = poly_const(k, 1)
-    total = frac_add(
-        frac_add(fraction(one, (w0i, w0j)), fraction(one, (neg(w0i), wij))),
-        fraction(one, (neg(w0j), neg(wij))))
-    return total.is_zero()
+    return tuple(wij) == sub(w0j, w0i)
 
 
 def _reconstruct(data: FixedPointData, base_id: str) -> Tuple[Dict[str, Weight] | None, str]:
@@ -161,17 +148,17 @@ def petrie_verify(data: FixedPointData, graph: Multigraph | None = None,
     relabeling = {base_id: 0}
     relabeling.update({pid: i + 1 for i, pid in enumerate(assignment)})
 
+    simplex = ((0,) * data.half_dim,) + basis
     graph_consistent: bool | None = None
     if graph is not None:
         graph_consistent, graph_witness = _graph_consistent(
-            data, graph, relabeling, basis)
+            graph, {pid: simplex[i] for pid, i in relabeling.items()})
         if not graph_consistent:
             return PetrieReport(
                 "no-match", base_point=base_id, basis=basis,
                 relabeling=relabeling, graph_consistent=False,
                 witness=graph_witness)
 
-    simplex = ((0,) * data.half_dim,) + basis
     return PetrieReport(
         "match", base_point=base_id, basis=basis, relabeling=relabeling,
         simplex=simplex, invariants=_model_invariants(data.half_dim),
@@ -180,30 +167,21 @@ def petrie_verify(data: FixedPointData, graph: Multigraph | None = None,
         gl_normalized_equal=True if up_to_gl else None)
 
 
-def _character_of(pid: str, relabeling: Dict[str, int],
-                  basis: Tuple[Weight, ...], n: int) -> Weight:
-    idx = relabeling[pid]
-    return (0,) * n if idx == 0 else basis[idx - 1]
-
-
-def _graph_consistent(data: FixedPointData, graph: Multigraph,
-                      relabeling: Dict[str, int],
-                      basis: Tuple[Weight, ...]) -> Tuple[bool, str]:
+def _graph_consistent(graph: Multigraph,
+                      chars: Dict[str, Weight]) -> Tuple[bool, str]:
     """A supplied graph must be the model's complete graph, label-for-label.
 
-    Edge direction is free: u -> v labeled char(v) - char(u) and the
-    reversed edge with negated label describe the same data.
+    ``chars`` maps each point to its model character.  Edge direction is
+    free: u -> v labeled char(v) - char(u) and the reversed edge with
+    negated label describe the same data.
     """
-    n = data.half_dim
-    if set(graph.vertex_ids) != set(relabeling):
+    if set(graph.vertex_ids) != set(chars):
         return False, "graph vertex set differs from the fixed point set"
-    needed = {frozenset((u, v)) for u in relabeling for v in relabeling if u < v}
     seen: set[frozenset[str]] = set()
     for e in graph.edges:
         if e.from_id == e.to_id:
             return False, f"self-loop at {e.from_id}"
-        expected = sub(_character_of(e.to_id, relabeling, basis, n),
-                       _character_of(e.from_id, relabeling, basis, n))
+        expected = sub(chars[e.to_id], chars[e.from_id])
         if e.label != expected:
             return False, (f"edge {e.from_id}->{e.to_id} has label {e.label}, "
                            f"model gives {expected}")
@@ -211,24 +189,20 @@ def _graph_consistent(data: FixedPointData, graph: Multigraph,
         if key in seen:
             return False, f"duplicate edge between {e.from_id} and {e.to_id}"
         seen.add(key)
-    if seen != needed:
+    # every pair seen joins two distinct points, so counting them suffices
+    if len(seen) != comb(len(chars), 2):
         return False, "graph is not the complete graph on the fixed points"
     return True, ""
 
 
 def gkm_relations(report: PetrieReport) -> Tuple[Relation, ...]:
     """Divisor relations of the matched model: one per unordered point pair."""
-    if not report.matched or report.relabeling is None or report.basis is None:
+    if not report.matched or report.relabeling is None or report.simplex is None:
         raise ValueError("relations require a match verdict")
-    n = len(report.basis)
-    ordered = sorted(report.relabeling, key=lambda pid: report.relabeling[pid])
-    rels = []
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            ci = _character_of(ordered[i], report.relabeling, report.basis, n)
-            cj = _character_of(ordered[j], report.relabeling, report.basis, n)
-            rels.append(Relation(ordered[i], ordered[j], sub(cj, ci)))
-    return tuple(rels)
+    ordered = sorted(report.relabeling, key=report.relabeling.__getitem__)
+    chars = report.simplex
+    return tuple(Relation(ordered[i], ordered[j], sub(chars[j], chars[i]))
+                 for i in range(len(ordered)) for j in range(i + 1, len(ordered)))
 
 
 def simplex_realization(report: PetrieReport) -> Tuple[Weight, ...]:

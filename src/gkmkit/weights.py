@@ -53,12 +53,6 @@ def dot(xi: Sequence[int], w: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(xi, w))
 
 
-def add(u: Weight, v: Weight) -> Weight:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def sub(u: Weight, v: Weight) -> Weight:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
@@ -161,28 +155,6 @@ def is_unimodular_basis(vectors: Sequence[Weight]) -> bool:
 def apply_matrix(rows: Sequence[Weight], w: Weight) -> Weight:
     """Matrix-vector product, rows acting on a column vector."""
     return tuple(dot(r, w) for r in rows)
-
-
-def mat_mul(a: Sequence[Weight], b: Sequence[Weight]) -> Tuple[Weight, ...]:
-    cols = list(zip(*b))
-    return tuple(tuple(dot(r, c) for c in cols) for r in a)
-
-
-def mat_inverse_unimodular(rows: Sequence[Weight]) -> Tuple[Weight, ...]:
-    """Exact inverse of a determinant +-1 integer matrix."""
-    n = len(rows)
-    d = det(rows)
-    if d not in (1, -1):
-        raise ValueError(f"matrix with determinant {d} has no integer inverse")
-
-    def minor(i: int, j: int) -> int:
-        sub_rows = [[rows[r][c] for c in range(n) if c != j]
-                    for r in range(n) if r != i]
-        return det(sub_rows)
-
-    # adjugate transpose divided by the determinant
-    return tuple(tuple((-1) ** (i + j) * minor(j, i) * d for j in range(n))
-                 for i in range(n))
 
 
 # ---------------------------------------------------------------------------

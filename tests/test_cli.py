@@ -312,6 +312,29 @@ class TestUsageAndIo:
         assert code == 4
         assert "nested too deeply" in err
 
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"torus_rank":1}',                    # not UTF-8
+        b'{"torus_rank": 1' + b"0" * 4400 + b"}",       # over 4300 digits
+    ], ids=["not_utf8", "long_integer"])
+    @pytest.mark.parametrize("command", ["validate", "genus", "chern", "petrie", "graph"])
+    def test_undecodable_file(self, capsys, tmp_path, content, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 4
+        assert err.startswith("error: cannot parse") and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("graph", "{file}", "--out="),
+        ("example", "cpn", "--out="),
+    ])
+    def test_empty_out(self, capsys, cp2_file, argv):
+        code, out, err = run(capsys, *(a.format(file=cp2_file) for a in argv))
+        assert code == 4
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+        assert out == ""
+
     def test_graph_unwritable_out(self, capsys, cp2_file, tmp_path):
         target = tmp_path / "missing_dir" / "g.dot"
         code, out, err = run(capsys, "graph", cp2_file, "--out", str(target))

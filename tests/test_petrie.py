@@ -24,7 +24,8 @@ from gkmkit import (
     transform,
     triangle_identity,
 )
-from gkmkit.weights import apply_matrix, mat_inverse_unimodular, sub
+from gkmkit import weights
+from gkmkit.weights import apply_matrix, frac_add, fraction, neg, parallel, poly_const, sub
 
 from conftest import mutate_one_weight, random_relabel, random_unimodular, shuffled
 
@@ -57,6 +58,48 @@ class TestTriangleIdentity:
             moved = (c[0] + delta[0], c[1] + delta[1])
             if moved != c and any(moved):
                 assert not triangle_identity(a, b, moved)
+
+    @staticmethod
+    def three_fraction_sum(a, b, c):
+        """1/(ab) + 1/((-a)c) + 1/((-b)(-c)) as a factored fraction."""
+        if parallel(a, b):
+            raise ValueError("parallel")
+        if not any(c):
+            raise ValueError("zero")
+        one = poly_const(len(a), 1)
+        return frac_add(frac_add(fraction(one, (a, b)), fraction(one, (neg(a), c))),
+                        fraction(one, (neg(b), neg(c))))
+
+    def test_agrees_with_three_fraction_sum(self):
+        rng = random.Random(2718)
+        outcomes = set()
+        for _ in range(2400):
+            k = rng.randint(1, 3)
+            a, b, c = (tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(3))
+            if rng.random() < 0.3:
+                c = sub(b, a)
+            try:
+                expected = self.three_fraction_sum(a, b, c).is_zero()
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    triangle_identity(a, b, c)
+                outcomes.add(str(exc))
+                continue
+            assert triangle_identity(a, b, c) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False, "parallel", "zero"}
+
+    def test_makes_no_polynomial_division(self, monkeypatch):
+        calls = []
+        real = weights.poly_div_linear
+
+        def counting(p, w):
+            calls.append(w)
+            return real(p, w)
+
+        monkeypatch.setattr(weights, "poly_div_linear", counting)
+        assert triangle_identity((1, 0), (0, 1), (-1, 1))
+        assert calls == []
 
 
 class TestExpectedChiY:
@@ -383,8 +426,9 @@ class TestBasePointInvariance:
 class TestGlNormalization:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_inverse_basis_maps_onto_standard_model(self, n):
+        # checked forwards: the recovered basis, as columns, maps the
+        # standard model onto the relabeled data
         rng = random.Random(1600 + n)
-        model = {p.id: sorted(p.weights) for p in cpn(n).data.points}
         for _ in range(6):
             moved = transform(cpn(n).data, random_unimodular(rng, n))
             renamed, _ = random_relabel(rng, moved, prefix="g")
@@ -392,7 +436,8 @@ class TestGlNormalization:
             report = petrie_verify(data, up_to_gl=True)
             assert report.matched and report.gl_normalized_equal is True
             columns = tuple(tuple(b[i] for b in report.basis) for i in range(n))
-            normalized = transform(data, mat_inverse_unimodular(columns))
-            back = relabel(normalized, {pid: f"p{idx}"
-                                        for pid, idx in report.relabeling.items()})
-            assert {p.id: sorted(p.weights) for p in back.points} == model
+            model = transform(cpn(n).data, columns)
+            back = relabel(data, {pid: f"p{idx}"
+                                  for pid, idx in report.relabeling.items()})
+            assert ({p.id: sorted(p.weights) for p in back.points}
+                    == {p.id: sorted(p.weights) for p in model.points})

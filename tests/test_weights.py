@@ -24,8 +24,6 @@ from gkmkit.weights import (
     generic_points,
     is_unimodular_basis,
     linear_form,
-    mat_inverse_unimodular,
-    mat_mul,
     parallel,
     poly_add,
     poly_const,
@@ -93,21 +91,6 @@ class TestDeterminant:
             m = random_unimodular(rng, n)
             assert det(m) in (1, -1)
             assert is_unimodular_basis(m)
-
-    def test_inverse_round_trip(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            n = rng.randint(1, 5)
-            m = random_unimodular(rng, n)
-            inv = mat_inverse_unimodular(m)
-            ident = tuple(tuple(1 if i == j else 0 for j in range(n))
-                          for i in range(n))
-            assert mat_mul(m, inv) == ident
-            assert mat_mul(inv, m) == ident
-
-    def test_inverse_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
-            mat_inverse_unimodular(((2, 0), (0, 1)))
 
     # every pivot choice the elimination can meet, forced
     FORCED = [
