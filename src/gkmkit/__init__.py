@@ -14,11 +14,7 @@ from .genus import (
     check_positivity,
     check_symmetry,
     chi_y,
-    euler,
     index_d_minus,
-    index_d_plus,
-    signature,
-    todd,
 )
 from .localization import (
     ChernComparison,
@@ -63,10 +59,8 @@ from .model import (
 from .petrie import (
     PetrieReport,
     Relation,
-    expected_chi_y,
     gkm_relations,
     petrie_verify,
-    simplex_realization,
     triangle_identity,
 )
 from .weights import (
@@ -76,11 +70,9 @@ from .weights import (
     Weight,
     canonicalize,
     dot,
-    elem_sym,
     frac_add,
     frac_eval,
     fraction,
-    generic_point,
     generic_points,
     is_unimodular_basis,
     poly_div_linear,

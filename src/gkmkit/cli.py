@@ -17,7 +17,7 @@ from collections import Counter
 from typing import Sequence
 
 from . import catalog as cat
-from .genus import NonGenericCircleError, check_positivity, check_symmetry, chi_y
+from .genus import NonGenericCircleError, chi_y, positivity, symmetry
 from .localization import InconsistencyError, chern_number, chern_report, partitions
 from .model import (
     MatchingError,
@@ -30,7 +30,7 @@ from .model import (
     validate_all,
 )
 from .petrie import gkm_relations, petrie_verify
-from .weights import Weight
+from .weights import Weight, printable
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -62,7 +62,7 @@ def _print_report(report: ValidationReport, as_json: bool) -> None:
         doc = [{
             "check": r.check,
             "passed": r.passed,
-            "witnesses": [str(w) for w in r.witnesses],
+            "witnesses": [str(printable(w)) for w in r.witnesses],
             "note": r.note,
         } for r in report.results]
         print(json.dumps(doc, indent=2))
@@ -74,7 +74,7 @@ def _print_report(report: ValidationReport, as_json: bool) -> None:
             line += f" ({r.note})"
         print(line)
         for w in r.witnesses:
-            print(f"  witness: {w}")
+            print(f"  witness: {printable(w)}")
 
 
 def _dot(graph: Multigraph) -> str:
@@ -155,9 +155,9 @@ def cmd_genus(args: argparse.Namespace) -> int:
         genus = chi_y(data, xi)
     except (NonGenericCircleError, ValueError) as exc:
         raise _CliError(str(exc), EXIT_PRECONDITION)
-    checks = [check_symmetry(data)]
+    checks = [symmetry(genus.coeffs)]
     if data.torus_manifold:
-        checks.append(check_positivity(data))
+        checks.append(positivity(genus.coeffs))
     if args.json:
         doc = {
             "chi_y": list(genus.coeffs),
@@ -187,7 +187,7 @@ def cmd_chern(args: argparse.Namespace) -> int:
     if args.partition is not None:
         part = _parse_vector(args.partition)
         try:
-            value = chern_number(data, part, mode)
+            value = printable(chern_number(data, part, mode))
         except InconsistencyError as exc:
             raise _CliError(str(exc), EXIT_CHECK_FAILED)
         except ValueError as exc:
@@ -202,7 +202,7 @@ def cmd_chern(args: argparse.Namespace) -> int:
     if args.json:
         doc = {
             "mode": mode,
-            "values": [{"partition": list(p), "value": v}
+            "values": [{"partition": list(p), "value": printable(v)}
                        for p, v in sorted(report.values.items())],
             "failures": [{"partition": list(p), "error": msg}
                          for p, msg in report.failures],
@@ -211,7 +211,7 @@ def cmd_chern(args: argparse.Namespace) -> int:
     else:
         for p in partitions(data.half_dim):
             if p in report.values:
-                print(f"{_fmt_partition(p)} = {report.values[p]}")
+                print(f"{_fmt_partition(p)} = {printable(report.values[p])}")
         for p, msg in report.failures:
             print(f"{_fmt_partition(p)}: FAIL ({msg})")
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
@@ -235,7 +235,7 @@ def cmd_petrie(args: argparse.Namespace) -> int:
         if report.invariants:
             inv = dict(report.invariants)
             inv["chi_y"] = list(inv["chi_y"])
-            inv["chern"] = [{"partition": list(p), "value": v}
+            inv["chern"] = [{"partition": list(p), "value": printable(v)}
                             for p, v in sorted(inv["chern"].items())]
             doc["invariants"] = inv
         print(json.dumps(doc, indent=2))
@@ -255,7 +255,7 @@ def cmd_petrie(args: argparse.Namespace) -> int:
             print(f"euler = {inv['euler']}, todd = {inv['todd']}, "
                   f"signature = {inv['signature']}")
             for p, v in sorted(inv["chern"].items()):
-                print(f"{_fmt_partition(p)} = {v}")
+                print(f"{_fmt_partition(p)} = {printable(v)}")
             if report.graph_consistent is not None:
                 print(f"graph consistent: {report.graph_consistent}")
             if report.gl_normalized_equal is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .model import FixedPoint, FixedPointData, ValidationReport, _single
-from .weights import Weight, dot, generic_point
+from .weights import Weight, dot, generic_points
 
 
 class NonGenericCircleError(ValueError):
@@ -84,19 +84,10 @@ def index_d_minus(point: FixedPoint, xi: Sequence[int]) -> int:
     return count
 
 
-def index_d_plus(point: FixedPoint, xi: Sequence[int]) -> int:
-    """Number of weights at the point pairing positively with xi."""
-    return len(point.weights) - index_d_minus(point, xi)
-
-
 def chi_y(data: FixedPointData, xi: Sequence[int] | None = None) -> ChiYPolynomial:
     """Genus of the data; xi defaults to the deterministic generic circle."""
     if xi is None:
-        forms = set(data.all_weights())
-        if forms:
-            xi = generic_point(forms, data.torus_rank)
-        else:
-            xi = (1,) * data.torus_rank
+        xi = next(generic_points(set(data.all_weights()), data.torus_rank))
     else:
         xi = tuple(xi)
         if len(xi) != data.torus_rank:
@@ -107,33 +98,29 @@ def chi_y(data: FixedPointData, xi: Sequence[int] | None = None) -> ChiYPolynomi
     return ChiYPolynomial(tuple(counts))
 
 
-def euler(data: FixedPointData) -> int:
-    return chi_y(data).euler
-
-
-def todd(data: FixedPointData) -> int:
-    return chi_y(data).todd
-
-
-def signature(data: FixedPointData) -> int:
-    return chi_y(data).signature
-
-
-def check_symmetry(data: FixedPointData) -> ValidationReport:
+def symmetry(coeffs: Sequence[int]) -> ValidationReport:
     """The coefficient vector must be palindromic: a_i == a_{n-i}."""
-    coeffs = chi_y(data).coeffs
     n = len(coeffs) - 1
     witnesses = tuple((i, coeffs[i], coeffs[n - i])
                       for i in range(n + 1) if coeffs[i] != coeffs[n - i])
     return _single("chi_y_symmetry", not witnesses, witnesses)
 
 
-def check_positivity(data: FixedPointData) -> ValidationReport:
-    """Every coefficient must be >= 1 for data flagged as a torus manifold."""
-    if not data.torus_manifold:
-        raise ValueError("positivity check applies to torus_manifold data only")
-    coeffs = chi_y(data).coeffs
+def positivity(coeffs: Sequence[int]) -> ValidationReport:
+    """Every coefficient must be >= 1."""
     witnesses = tuple((i, coeffs[i]) for i in range(len(coeffs)) if coeffs[i] < 1)
     note = "" if not witnesses else (
         "data unrealizable: some chi_y coefficient is not positive")
     return _single("chi_y_positivity", not witnesses, witnesses, note=note)
+
+
+def check_symmetry(data: FixedPointData) -> ValidationReport:
+    """Serre duality: chi_y(data) is palindromic."""
+    return symmetry(chi_y(data).coeffs)
+
+
+def check_positivity(data: FixedPointData) -> ValidationReport:
+    """Every chi_y coefficient is >= 1 for data flagged as a torus manifold."""
+    if not data.torus_manifold:
+        raise ValueError("positivity check applies to torus_manifold data only")
+    return positivity(chi_y(data).coeffs)

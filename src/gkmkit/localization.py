@@ -44,6 +44,7 @@ from .weights import (
     poly_const,
     poly_mul,
     poly_total_degree,
+    printable,
 )
 
 Partition = Tuple[int, ...]
@@ -230,7 +231,8 @@ def _agreed(what: str, values: Sequence[Fraction]) -> Fraction:
     """The value of a class at every point; the generic points must agree."""
     if values[-1] != values[0]:
         raise InconsistencyError(
-            f"{what} differs between generic points: {values[0]} vs {values[-1]}")
+            f"{what} differs between generic points: "
+            f"{printable(values[0])} vs {printable(values[-1])}")
     return values[0]
 
 
@@ -283,7 +285,7 @@ def _chern_evaluator(data: FixedPointData, mode: str) -> Callable[[Partition], i
         v = _agreed(f"Chern value for {part}", [t.product(part) for t in tables])
         if v.denominator != 1:
             raise InconsistencyError(
-                f"Chern number for {part} is not an integer: {v}")
+                f"Chern number for {part} is not an integer: {printable(v)}")
         return int(v)
 
     return number
@@ -337,7 +339,7 @@ def check_lower_degree_vanishing(data: FixedPointData,
                 witnesses.append((part, str(exc)))
                 continue
             if value != 0:
-                witnesses.append((part, str(value)))
+                witnesses.append((part, str(printable(value))))
     return _single("lower_degree_vanishing", not witnesses, tuple(witnesses))
 
 

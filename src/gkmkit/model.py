@@ -324,8 +324,9 @@ class _PackedResidues:
         m = max(map(abs, chain.from_iterable(chain(data.all_weights(), labels))),
                 default=0)
         self.width = (m + m * m).bit_length() + 1
-        self.data = data
-        self.packed: Dict[str, list[int]] = {}
+        # first point wins on a repeated id, as in ``point``
+        self.packed = {pid: (p.weights, [self.pack(u) for u in p.weights])
+                       for pid, p in data._by_id.items()}
 
     def pack(self, v: Weight) -> int:
         p = 0
@@ -334,20 +335,13 @@ class _PackedResidues:
         return p
 
     def residues(self, label: Weight, pids: Iterable[str]) -> Dict[str, list[int]]:
-        """Packed residues mod label of the weights at each point, in order."""
+        """Packed residues mod label of the weights at each point, in order;
+        u mod w is u mod -w, so the label's sign is dropped first."""
+        label = canonicalize(label)[1]
         j = pivot_index(label)
-        d = label[j]
-        pw = self.pack(label)
-        out = {}
-        for pid in pids:
-            ws = self.data.point(pid).weights
-            if pid not in self.packed:
-                self.packed[pid] = [self.pack(u) for u in ws]
-            if d > 0:
-                out[pid] = [pu - u[j] // d * pw for u, pu in zip(ws, self.packed[pid])]
-            else:
-                out[pid] = [pu + u[j] // -d * pw for u, pu in zip(ws, self.packed[pid])]
-        return out
+        d, pw = label[j], self.pack(label)
+        return {pid: [pu - u[j] // d * pw for u, pu in zip(*self.packed[pid])]
+                for pid in pids}
 
 
 def _direction(w: Weight) -> Weight | None:

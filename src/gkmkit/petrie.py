@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Dict, Tuple
 
-from .genus import ChiYPolynomial
 from .localization import partitions
 from .model import FixedPointData, Multigraph
 from .weights import Weight, neg, parallel, sub
@@ -53,13 +52,6 @@ class PetrieReport:
         return self.verdict == "match"
 
 
-def expected_chi_y(n: int) -> ChiYPolynomial:
-    """Genus of the n-dimensional linear model: all coefficients one."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    return ChiYPolynomial((1,) * (n + 1))
-
-
 def _model_invariants(n: int) -> Dict[str, object]:
     """Invariant table of linear CP^n, which every match shares.
 
@@ -68,7 +60,7 @@ def _model_invariants(n: int) -> Dict[str, object]:
     Chern number of a partition is the product of C(n+1, part).
     """
     return {
-        "chi_y": expected_chi_y(n).coeffs,
+        "chi_y": (1,) * (n + 1),
         "euler": n + 1,
         "todd": 1,
         "signature": 1 - n % 2,
@@ -203,14 +195,3 @@ def gkm_relations(report: PetrieReport) -> Tuple[Relation, ...]:
     chars = report.simplex
     return tuple(Relation(ordered[i], ordered[j], sub(chars[j], chars[i]))
                  for i in range(len(ordered)) for j in range(i + 1, len(ordered)))
-
-
-def simplex_realization(report: PetrieReport) -> Tuple[Weight, ...]:
-    """Lattice simplex whose vertices realize the matched model.
-
-    Vertices are the origin plus the recovered basis, so each relation's
-    divisor is the difference of its endpoint vertices.
-    """
-    if not report.matched or report.simplex is None:
-        raise ValueError("simplex requires a match verdict")
-    return report.simplex

@@ -157,6 +157,29 @@ def apply_matrix(rows: Sequence[Weight], w: Weight) -> Weight:
     return tuple(dot(r, w) for r in rows)
 
 
+class _Digits(str):
+    __repr__ = str.__str__  # bare inside a tuple too
+
+
+def printable(x):
+    """``x`` safe for ``str`` and ``json``: an int past the interpreter's
+    limit on decimal digits (4300 by default) becomes ``<N-digit integer>``,
+    in a Fraction per part and in a tuple or list per item."""
+    if type(x) in (tuple, list):
+        return type(x)(map(printable, x))
+    if isinstance(x, Fraction):
+        num, den = printable((x.numerator, x.denominator))
+        return x if type(num) is type(den) is int else _Digits(
+            num if den == 1 else f"{num}/{den}")
+    if type(x) is int and x.bit_length() > 2000:  # no limit is below 640 digits
+        try:
+            str(x)
+        except ValueError:
+            d = int((x.bit_length() - 1) * 0.30102999566398120) + 1
+            return _Digits(f"{'-' * (x < 0)}<{d + (abs(x) >= 10 ** d)}-digit integer>")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # generic evaluation points
 
@@ -186,11 +209,6 @@ def generic_points(forms: Iterable[Weight], k: int | None = None) -> Iterator[We
         if all(sum(map(mul, xi, f)) for f in forms):
             yield xi
         n_cand += 1
-
-
-def generic_point(forms: Iterable[Weight], k: int | None = None) -> Weight:
-    """First point of the deterministic schedule avoiding all the forms."""
-    return next(generic_points(forms, k))
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +326,6 @@ def forms_product(forms: Iterable[Weight], k: int) -> SparsePoly:
     for f in forms:
         out = poly_mul(out, linear_form(f))
     return out
-
-
-def elem_sym(j: int, forms: Sequence[Weight], k: int | None = None) -> SparsePoly:
-    """Elementary symmetric polynomial of degree ``j`` in the given forms."""
-    return elem_sym_all(forms, j, k)[j]
 
 
 def elem_sym_all(forms: Sequence[Weight], upto: int,

@@ -7,12 +7,12 @@ sequence of matrices, relabelings, and mutants.
 from __future__ import annotations
 
 import random
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import pytest
 
-from gkmkit.model import FixedPoint, FixedPointData, relabel
-from gkmkit.weights import Weight
+from gkmkit.model import Edge, FixedPoint, FixedPointData, Multigraph, relabel
+from gkmkit.weights import Weight, neg, sub
 
 
 @pytest.fixture
@@ -76,3 +76,46 @@ def mutate_one_weight(rng: random.Random, data: FixedPointData) -> FixedPointDat
     pts[i] = FixedPoint(p.id, tuple(ws))
     return FixedPointData(data.torus_rank, data.half_dim, tuple(pts),
                           data.torus_manifold)
+
+
+class Space(NamedTuple):
+    """Fixed-point data with its describing graph, if any; unpacks into
+    ``serialize``."""
+
+    data: FixedPointData
+    graph: Multigraph | None
+
+
+def blow_up(space, pid: str, ids: Sequence[str] | None = None) -> Space:
+    """Equivariant blow-up of ``space`` (anything with ``data`` and
+    ``graph``) at the fixed point ``pid``.
+
+    The point with weights w_1..w_n becomes n points q_i, named by ``ids``
+    (default ``pid.i``), where q_i carries {w_i} + {w_j - w_i : j != i}:
+    the standard local model at an isolated fixed point.  In the graph an
+    edge leaving p along w_i now leaves q_i, an edge entering p along -w_i
+    enters q_i, and q_i -> q_j (i < j) is a new edge labeled w_j - w_i.
+    """
+    data, graph = space.data, space.graph
+    ws = data.point(pid).weights
+    ids = tuple(ids) if ids is not None else tuple(f"{pid}.{i}" for i in range(len(ws)))
+    new = tuple(FixedPoint(q, (w,) + tuple(sub(v, w) for j, v in enumerate(ws) if j != i))
+                for i, (q, w) in enumerate(zip(ids, ws)))
+    points = tuple(p for p in data.points if p.id != pid) + new
+    blown = FixedPointData(data.torus_rank, data.half_dim, points, data.torus_manifold)
+    if graph is None:
+        return Space(blown, None)
+    free = list(range(len(ws)))  # weights at p not yet given to an edge
+
+    def take(w: Weight) -> str:
+        i = next(i for i in free if ws[i] == w)
+        free.remove(i)
+        return ids[i]
+
+    edges = [Edge(take(e.label) if e.from_id == pid else e.from_id,
+                  take(neg(e.label)) if e.to_id == pid else e.to_id, e.label)
+             for e in graph.edges]
+    edges += [Edge(ids[i], ids[j], sub(ws[j], ws[i]))
+              for i in range(len(ws)) for j in range(i + 1, len(ws))]
+    vertices = tuple(v for v in graph.vertex_ids if v != pid) + ids
+    return Space(blown, Multigraph(vertices, tuple(edges)))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gkmkit import cli, cpn, parse, serialize, transform, weights
+from gkmkit import cli, cpn, genus, parse, serialize, transform, weights
 from gkmkit.cli import main
 
 from conftest import random_relabel, random_unimodular, shuffled
@@ -63,6 +63,12 @@ class TestValidate:
         assert {"pairing", "weight_sum", "gkm"} <= {e["check"] for e in doc}
 
 
+SKEW_DOC = """{"torus_rank": 2, "half_dim": 2, "fixed_points": [
+ {"id": "p0", "weights": [[2,-2],[2,-2]]},
+ {"id": "p1", "weights": [[1,-2],[1,2]]},
+ {"id": "p2", "weights": [[1,1],[-2,1]]}]}"""
+
+
 class TestGenus:
     def test_s6_text(self, capsys, tmp_path):
         path = tmp_path / "s6.json"
@@ -95,6 +101,38 @@ class TestGenus:
     def test_bad_xi_syntax(self, capsys, cp2_file):
         code, _, err = run(capsys, "genus", cp2_file, "--xi", "a,b")
         assert code == 64
+
+    def test_verdicts_judge_the_printed_polynomial(self, capsys, tmp_path):
+        # symmetric for the default circle, not for the circle (5, 1)
+        path = tmp_path / "skew.json"
+        path.write_text(SKEW_DOC)
+        code, out, _ = run(capsys, "genus", str(path))
+        assert code == 0
+        assert "coefficients = [1, 1, 1]" in out
+        assert "chi_y_symmetry: pass" in out
+        code, out, _ = run(capsys, "genus", str(path), "--xi", "5,1")
+        assert code == 2
+        assert "coefficients = [2, 1, 0]" in out
+        assert "chi_y_symmetry: FAIL" in out
+        code, out, _ = run(capsys, "genus", str(path), "--xi", "5,1", "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["chi_y"] == [2, 1, 0]
+        assert doc["checks"] == [{"check": "chi_y_symmetry", "passed": False, "note": ""}]
+
+    def test_one_chi_y_per_call(self, capsys, cp3_file, monkeypatch):
+        calls = []
+        real = genus.index_d_minus
+
+        def counting(point, xi):
+            calls.append(point.id)
+            return real(point, xi)
+
+        monkeypatch.setattr(genus, "index_d_minus", counting)
+        code, out, _ = run(capsys, "genus", cp3_file)
+        assert code == 0
+        assert "chi_y_positivity: pass" in out
+        assert len(calls) == 4  # one per fixed point of CP^3
 
 
 class TestChern:
@@ -382,6 +420,52 @@ class TestUsageAndIo:
             assert "Traceback" not in err and out == ""
 
 
+def _rank_one_doc(*points):
+    return json.dumps({"torus_rank": 1, "half_dim": 2, "fixed_points": [
+        {"id": pid, "weights": [[a], [b]]} for pid, (a, b) in zip("pq", points)]})
+
+
+# every weight parses (at most 4300 digits), but c1^2 = 2 (a + b)^2 / (ab)
+# has 6001-digit parts and the weight sum has 4301 digits
+HUGE_A, HUGE_B = 10 ** 3000 + 1, 10 ** 3000 + 3
+HUGE_CHERN_DOC = _rank_one_doc((HUGE_A, HUGE_B), (-HUGE_A, -HUGE_B))
+HUGE_SUM_DOC = _rank_one_doc((10 ** 4300 - 1, 10 ** 4300 - 1), (1, 2))
+
+
+class TestHugeIntegers:
+    """Results too long for str() print as their digit count, exit 2."""
+
+    def test_chern(self, capsys, tmp_path):
+        path = tmp_path / "huge_chern.json"
+        path.write_text(HUGE_CHERN_DOC)
+        limit = sys.get_int_max_str_digits()
+        message = ("Chern number for (1, 1) is not an integer: "
+                   "<6001-digit integer>/<6001-digit integer>")
+        for mode in ("generic", "expanded"):
+            code, out, err = run(capsys, "chern", str(path), "--mode", mode)
+            assert (code, out, err) == (2, f"c2 = 2\nc1^2: FAIL ({message})\n", "")
+            code, out, _ = run(capsys, "chern", str(path), "--mode", mode, "--json")
+            assert code == 2
+            assert json.loads(out)["failures"] == [{"partition": [1, 1], "error": message}]
+            code, out, err = run(capsys, "chern", str(path), "--mode", mode,
+                                 "--partition", "1,1")
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_validate(self, capsys, tmp_path):
+        path = tmp_path / "huge_sum.json"
+        path.write_text(HUGE_SUM_DOC)
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and err == ""
+        assert "weight_sum: FAIL\n  witness: (<4301-digit integer>,)\n" in out
+        code, out, err = run(capsys, "validate", str(path), "--json")
+        assert code == 2 and err == ""
+        (weight_sum,) = [r for r in json.loads(out) if r["check"] == "weight_sum"]
+        assert weight_sum["witnesses"] == ["(<4301-digit integer>,)"]
+        assert sys.get_int_max_str_digits() == limit
+
+
 TOP_USAGE = "usage: gkmkit [-h] {validate,genus,chern,petrie,graph,example} ...\n"
 TOP_HELP = TOP_USAGE + """
 validate and analyze torus fixed-point data
@@ -596,20 +680,34 @@ class TestFuzz:
         for _ in range(40):
             with open(path, "w") as fh:
                 json.dump(self.mutate(rng, base), fh)
-            for argv in (["validate", path], ["genus", path], ["chern", path],
-                         ["chern", path, "--mode", "expanded"],
-                         ["chern", path, "--partition", "1,1"],
-                         ["petrie", path, "--up-to-gl"],
-                         ["graph", path, "--build", "--format", "json"], ["graph", path],
-                         ["genus", path, "--xi", self.vector_text(rng)],
-                         ["chern", path, "--partition", self.vector_text(rng)],
-                         ["example", "cpn", "--n", str(rng.randint(1, 3)),
-                          "--basis", self.vector_text(rng)]):
-                try:
-                    code, _, err = run(capsys, *argv)
-                except Exception as exc:  # a traceback in a real process
-                    pytest.fail(f"{argv} on {open(path).read()}: {exc!r}")
-                assert code in (0, 2, 3, 4, 64), argv
-                assert "Traceback" not in err, argv
-                codes.add(code)
+            codes |= self.run_commands(capsys, rng, path)
         assert codes == {0, 2, 3, 4, 64}
+
+    def test_huge_integers(self, capsys, tmp_path):
+        rng = random.Random(20261018)
+        path = str(tmp_path / "huge.json")
+        for doc in (HUGE_CHERN_DOC, HUGE_SUM_DOC):
+            with open(path, "w") as fh:
+                fh.write(doc)
+            self.run_commands(capsys, rng, path)
+
+    def run_commands(self, capsys, rng, path):
+        """Exit codes of every command on the file; none may raise."""
+        codes = set()
+        for argv in (["validate", path], ["genus", path], ["chern", path],
+                     ["chern", path, "--mode", "expanded"],
+                     ["chern", path, "--partition", "1,1"],
+                     ["petrie", path, "--up-to-gl"],
+                     ["graph", path, "--build", "--format", "json"], ["graph", path],
+                     ["genus", path, "--xi", self.vector_text(rng)],
+                     ["chern", path, "--partition", self.vector_text(rng)],
+                     ["example", "cpn", "--n", str(rng.randint(1, 3)),
+                      "--basis", self.vector_text(rng)]):
+            try:
+                code, _, err = run(capsys, *argv)
+            except Exception as exc:  # a traceback in a real process
+                pytest.fail(f"{argv} on {open(path).read()}: {exc!r}")
+            assert code in (0, 2, 3, 4, 64), argv
+            assert "Traceback" not in err, argv
+            codes.add(code)
+        return codes

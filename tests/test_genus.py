@@ -12,12 +12,8 @@ from gkmkit import (
     check_symmetry,
     chi_y,
     cpn,
-    euler,
     index_d_minus,
-    index_d_plus,
     s6,
-    signature,
-    todd,
 )
 
 
@@ -28,8 +24,8 @@ class TestIndices:
         assert index_d_minus(data.point("p0"), xi) == 0
         assert index_d_minus(data.point("p1"), xi) == 1
         assert index_d_minus(data.point("p2"), xi) == 2
-        assert index_d_plus(data.point("p0"), xi) == 2
-        assert index_d_plus(data.point("p2"), xi) == 0
+        assert len(data.point("p0").weights) - index_d_minus(data.point("p0"), xi) == 2
+        assert len(data.point("p2").weights) - index_d_minus(data.point("p2"), xi) == 0
 
     def test_non_generic_circle(self):
         p = cpn(2).data.point("p0")
@@ -53,8 +49,8 @@ class TestIndices:
             except NonGenericCircleError:
                 continue
             neg_xi = (-xi[0], -xi[1])
-            assert index_d_plus(p, xi) == index_d_minus(p, neg_xi)
-            assert d + index_d_plus(p, xi) == 3
+            assert len(p.weights) - index_d_minus(p, xi) == index_d_minus(p, neg_xi)
+            assert d + len(p.weights) - index_d_minus(p, xi) == 3
 
 
 class TestChiYPolynomial:
@@ -91,9 +87,9 @@ class TestChiY:
     def test_s6_values(self):
         data = s6().data
         assert chi_y(data).coeffs == (0, 1, 1, 0)
-        assert euler(data) == 2
-        assert todd(data) == 0
-        assert signature(data) == 0
+        assert chi_y(data).euler == 2
+        assert chi_y(data).todd == 0
+        assert chi_y(data).signature == 0
 
     def test_xi_length_check(self):
         with pytest.raises(ValueError, match="length"):

@@ -15,12 +15,10 @@ from gkmkit import (
     chern_report,
     chi_y,
     cpn,
-    expected_chi_y,
     gkm_relations,
     petrie_verify,
     relabel,
     s6,
-    simplex_realization,
     transform,
     triangle_identity,
 )
@@ -102,16 +100,6 @@ class TestTriangleIdentity:
         assert calls == []
 
 
-class TestExpectedChiY:
-    def test_all_ones(self):
-        assert expected_chi_y(3).coeffs == (1, 1, 1, 1)
-        assert expected_chi_y(0).coeffs == (1,)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            expected_chi_y(-1)
-
-
 class TestVerifyOnModel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_identity_model_matches(self, n):
@@ -136,7 +124,7 @@ class TestVerifyOnModel:
         assert inv["todd"] == 1
         assert inv["signature"] == 1
         assert inv["chern"] == {(1, 1): 9, (2,): 3}
-        assert inv["chi_y"] == expected_chi_y(2).coeffs
+        assert inv["chi_y"] == (1,) * 3
 
     def test_graph_defaults_to_unchecked(self):
         report = petrie_verify(cpn(2).data)
@@ -296,14 +284,12 @@ class TestRelationsAndSimplex:
 
     def test_simplex_vertices(self):
         report = petrie_verify(cpn(2).data)
-        assert simplex_realization(report) == ((0, 0), (1, 0), (0, 1))
+        assert report.simplex == ((0, 0), (1, 0), (0, 1))
 
     def test_requires_match(self):
         report = petrie_verify(s6().data)
         with pytest.raises(ValueError):
             gkm_relations(report)
-        with pytest.raises(ValueError):
-            simplex_realization(report)
 
     def test_chern_table_matches_direct_computation(self):
         report = petrie_verify(cpn(3).data)
