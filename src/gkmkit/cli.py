@@ -303,69 +303,20 @@ def cmd_example(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-COMMANDS = ("validate", "genus", "chern", "petrie", "graph", "example")
+COMMANDS = {
+    "validate": (cmd_validate, "run all applicable checks"),
+    "genus": (cmd_genus, "chi_y genus and its specializations"),
+    "chern": (cmd_chern, "Chern numbers by localization"),
+    "petrie": (cmd_petrie, "compare against the linear model"),
+    "graph": (cmd_graph, "export or build the describing multigraph"),
+    "example": (cmd_example, "emit a catalog dataset"),
+}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The gkmkit parser, with only the subparser of ``command`` when that
-    names one of ``COMMANDS``, else with all of them.
-
-    Only the full parser can say that a command is missing or unknown; the
-    explicit metavar keeps the one-command parser's usage line the same.
-    """
-    if command not in COMMANDS:
-        command = None
-    parser = _Parser(prog="gkmkit",
-                     description="validate and analyze torus fixed-point data")
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=_Parser,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
-
-    if command in (None, "validate"):
-        p = sub.add_parser("validate", help="run all applicable checks")
-        p.add_argument("file")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_validate)
-
-    if command in (None, "genus"):
-        p = sub.add_parser("genus", help="chi_y genus and its specializations")
-        p.add_argument("file")
-        p.add_argument("--xi", help="comma-separated circle, e.g. 1,3")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_genus)
-
-    if command in (None, "chern"):
-        p = sub.add_parser("chern", help="Chern numbers by localization")
-        p.add_argument("file")
-        p.add_argument("--partition", help="comma-separated partition, e.g. 1,1,2")
-        p.add_argument("--all", action="store_true", help="all partitions (default)")
-        p.add_argument("--mode", choices=("generic", "expanded"),
-                       help="localization mode: generic (two evaluation points) or "
-                            "expanded (exact polynomial identity); default "
-                            "$GKMKIT_MODE, else generic")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_chern)
-
-    if command in (None, "petrie"):
-        p = sub.add_parser("petrie", help="compare against the linear model")
-        p.add_argument("file")
-        p.add_argument("--up-to-gl", action="store_true",
-                       help="also report that normalizing by the recovered basis "
-                            "gives the standard model")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_petrie)
-
-    if command in (None, "graph"):
-        p = sub.add_parser("graph", help="export or build the describing multigraph")
-        p.add_argument("file")
-        p.add_argument("--format", choices=("dot", "json"), default="dot")
-        p.add_argument("--build", action="store_true",
-                       help="rebuild even when the file carries edges")
-        p.add_argument("--out")
-        p.set_defaults(func=cmd_graph)
-
-    if command in (None, "example"):
-        p = sub.add_parser("example", help="emit a catalog dataset")
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """Declare the arguments of ``command`` on ``p``: its subparser in the
+    full parser, or the one-command parser of ``_parse_args``."""
+    if command == "example":
         p.add_argument("name",
                        choices=("cpn", "cp3_nongkm", "s6", "s6_blowup", "fano"))
         p.add_argument("--n", type=int, default=2, help="dimension for cpn")
@@ -373,18 +324,61 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--a", default="1,0", help="first parameter vector")
         p.add_argument("--b", default="0,1", help="second parameter vector")
         p.add_argument("--variant", default="V5", help="fano variant: V5 or V22")
+    else:
+        p.add_argument("file")
+    if command == "genus":
+        p.add_argument("--xi", help="comma-separated circle, e.g. 1,3")
+    elif command == "chern":
+        p.add_argument("--partition", help="comma-separated partition, e.g. 1,1,2")
+        p.add_argument("--all", action="store_true", help="all partitions (default)")
+        p.add_argument("--mode", choices=("generic", "expanded"),
+                       help="localization mode: generic (two evaluation points) or "
+                            "expanded (exact polynomial identity); default "
+                            "$GKMKIT_MODE, else generic")
+    elif command == "petrie":
+        p.add_argument("--up-to-gl", action="store_true",
+                       help="also report that normalizing by the recovered basis "
+                            "gives the standard model")
+    elif command == "graph":
+        p.add_argument("--format", choices=("dot", "json"), default="dot")
+        p.add_argument("--build", action="store_true",
+                       help="rebuild even when the file carries edges")
+    if command in ("graph", "example"):
         p.add_argument("--out")
-        p.set_defaults(func=cmd_example)
+    else:
+        p.add_argument("--json", action="store_true")
+    p.set_defaults(func=COMMANDS[command][0])
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full gkmkit parser, one subparser per command."""
+    parser = _Parser(prog="gkmkit",
+                     description="validate and analyze torus fixed-point data")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (_, text) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser does, less its ``command``, with
+    only the parser of the command that ``argv[0]`` names; the full parser
+    is built for help, a missing or unknown command and leftover arguments."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    parser = _Parser(prog="gkmkit " + argv[0])
+    _add_arguments(parser, argv[0])
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        build_parser().error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     # not cached: a gkmkit process calls main once
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -474,6 +474,9 @@ def _pair_bucket(left: Sequence[str], right: Sequence[str]) -> Iterator[Tuple[st
     occurrences: every pair must then involve t, and it is a self-loop
     only when t holds more than half, which forces one.
     """
+    if len(left) == 1:  # the pair the rule below makes, a loop if the ids agree
+        yield left[0], right[0]
+        return
     free: Dict[str, int] = {}
     load: Dict[str, int] = {}
     for v in right:

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output formats, environment knobs."""
 
+import argparse
 import copy
 import json
 import os
@@ -585,17 +586,71 @@ class TestFrontDoor:
         monkeypatch.setenv("COLUMNS", "80")
         assert run(capsys, *argv) == (code, out, err)
 
-    def test_one_subparser_per_command(self, capsys, cp2_file, monkeypatch):
-        progs = set()
-        add_argument = cli._Parser.add_argument
+    def test_one_parser_per_command(self, capsys, tmp_path, cp2_file, monkeypatch):
+        """A call that names a command builds that command's parser only."""
+        progs = []
+        init = cli._Parser.__init__
 
         def spy(parser, *args, **kwargs):
-            progs.add(parser.prog)
-            return add_argument(parser, *args, **kwargs)
+            init(parser, *args, **kwargs)
+            progs.append(parser.prog)
 
-        monkeypatch.setattr(cli._Parser, "add_argument", spy)
-        assert run(capsys, "validate", cp2_file, "--json")[0] == 0
-        assert progs == {"gkmkit", "gkmkit validate"}
+        monkeypatch.setattr(cli._Parser, "__init__", spy)
+        for name in cli.COMMANDS:
+            argv = (["example", "cpn", "--out", str(tmp_path / "out.json")]
+                    if name == "example" else [name, cp2_file])
+            progs.clear()
+            assert run(capsys, *argv)[0] == 0, name
+            assert progs == [f"gkmkit {name}"]
+
+    DIFFERENTIAL = [
+        ["chern", "F", "--mode=expanded"], ["chern", "--partition=1,1", "F"],
+        ["chern", "F", "--js"], ["chern", "F", "--mo", "expanded"],
+        ["chern", "F", "--par", "2"], ["chern", "F", "--p", "2"],
+        ["chern", "--", "F"], ["chern", "F", "--", "G"], ["chern", "--", "--json"],
+        ["chern", "F", "--json", "--json", "--mode", "generic", "--mode", "expanded"],
+        ["validate"], ["chern", "--json"], ["example"],
+        ["validate", "F", "G"], ["example", "cpn", "s6"],
+        ["chern", "--bogus", "F"], ["chern", "F", "--bogus"], ["chern", "-x", "F", "-y"],
+        ["graph", "F", "--format", "svg"], ["graph", "F", "--format=svg"],
+        ["chern", "F", "--mode", "fast"], ["chern", "F", "--mode"],
+        ["chern", "F", "-h"], ["example", "cpn", "--help"], ["petrie", "F", "--he"],
+        ["genus", "F", "--xi", "-1,2"], ["genus", "F", "--xi=-1,2"], ["genus", "-1"],
+        ["example", "cpn", "--n", "x"], ["example", "cpn", "--n", "-3"],
+        ["example", "torus"], ["graph", "F", "--out"], ["petrie", "F", "--up"],
+        ["validate", "F", "--jsonx"], ["validate", "F", "--json=1"],
+    ]
+    TOKENS = ("F", "G", "--", "-", "-h", "--json", "--js", "--bogus", "-x", "--mode",
+              "--mode=generic", "--mo", "expanded", "fast", "--format", "--format=json",
+              "svg", "--out", "o.json", "--xi", "-1,2", "--partition", "1,1", "--n", "3",
+              "--basis", "--up-to-gl", "--build", "--all", "cpn", "s6", "fano")
+
+    @staticmethod
+    def parsed(capsys, parse, argv):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            args = exc.code
+        captured = capsys.readouterr()
+        if isinstance(args, argparse.Namespace):
+            vars(args).pop("command", None)
+        return args, captured.out, captured.err
+
+    def test_one_command_parser_agrees_with_full_parser(self, capsys, monkeypatch):
+        """Namespace, or exit code, stdout and stderr, as the full parser."""
+        monkeypatch.setenv("COLUMNS", "80")
+        rng = random.Random(20261018)
+        corpus = list(self.DIFFERENTIAL)
+        for _ in range(300):
+            name = rng.choice(list(cli.COMMANDS))
+            argv = [rng.choice(self.TOKENS) for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.7:  # mostly with the positional argument
+                argv.insert(rng.randint(0, len(argv)), "cpn" if name == "example" else "F")
+            corpus.append([name] + argv)
+        for argv in corpus:
+            one = self.parsed(capsys, cli._parse_args, list(argv))
+            full = self.parsed(capsys, cli.build_parser().parse_args, list(argv))
+            assert one == full, argv
 
 
 class TestEntryPoint:
@@ -613,6 +668,13 @@ class TestEntryPoint:
         proc = self.gkmkit("chern", cp2_file, "--json")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert run(capsys, "chern", cp2_file, "--json") == (0, proc.stdout, "")
+
+    def test_unrecognized_argument(self, capsys, cp2_file, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        proc = self.gkmkit("chern", cp2_file, "--bogus")
+        assert (proc.returncode, proc.stdout) == (64, "")
+        assert proc.stderr == TOP_USAGE + "gkmkit: error: unrecognized arguments: --bogus\n"
+        assert run(capsys, "chern", cp2_file, "--bogus") == (64, "", proc.stderr)
 
     def test_unknown_command(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
