@@ -4,14 +4,12 @@ Subcommands: validate, genus, chern, petrie, graph, example.  Exit codes:
 0 success, 2 a semantic check failed (validation failure, no-match,
 non-integral or inconsistent value), 3 precondition violated, 4 unreadable
 or unparsable input or unwritable output, 64 usage error.
-GKMKIT_MODE=generic|expanded picks the default localization mode.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from typing import Sequence
@@ -107,14 +105,6 @@ def _write_out(text: str, path: str | None) -> None:
         raise _CliError(f"cannot write {path}: {exc}", EXIT_IO)
 
 
-def _default_mode() -> str:
-    mode = os.environ.get("GKMKIT_MODE", "generic")
-    if mode not in ("generic", "expanded"):
-        raise _CliError(f"GKMKIT_MODE must be generic or expanded, got {mode!r}",
-                        EXIT_USAGE)
-    return mode
-
-
 def _parse_vector(text: str) -> Weight:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -183,25 +173,24 @@ def cmd_genus(args: argparse.Namespace) -> int:
 
 def cmd_chern(args: argparse.Namespace) -> int:
     data, _ = _load(args.file)
-    mode = args.mode or _default_mode()
     if args.partition is not None:
         part = _parse_vector(args.partition)
         try:
-            value = printable(chern_number(data, part, mode))
+            value = printable(chern_number(data, part, args.mode))
         except InconsistencyError as exc:
             raise _CliError(str(exc), EXIT_CHECK_FAILED)
         except ValueError as exc:
             raise _CliError(str(exc), EXIT_PRECONDITION)
         if args.json:
             print(json.dumps({"partition": sorted(part, reverse=True),
-                              "value": value, "mode": mode}))
+                              "value": value, "mode": args.mode}))
         else:
             print(f"{_fmt_partition(tuple(sorted(part, reverse=True)))} = {value}")
         return EXIT_OK
-    report = chern_report(data, mode)
+    report = chern_report(data, args.mode)
     if args.json:
         doc = {
-            "mode": mode,
+            "mode": args.mode,
             "values": [{"partition": list(p), "value": printable(v)}
                        for p, v in sorted(report.values.items())],
             "failures": [{"partition": list(p), "error": msg}
@@ -331,10 +320,10 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
     elif command == "chern":
         p.add_argument("--partition", help="comma-separated partition, e.g. 1,1,2")
         p.add_argument("--all", action="store_true", help="all partitions (default)")
-        p.add_argument("--mode", choices=("generic", "expanded"),
-                       help="localization mode: generic (two evaluation points) or "
-                            "expanded (exact polynomial identity); default "
-                            "$GKMKIT_MODE, else generic")
+        p.add_argument("--mode", choices=("generic", "expanded"), default="generic",
+                       help="localization mode: generic (one point for GKM data "
+                            "with a describing graph, else exact) or expanded "
+                            "(exact polynomial identity); default generic")
     elif command == "petrie":
         p.add_argument("--up-to-gl", action="store_true",
                        help="also report that normalizing by the recovered basis "

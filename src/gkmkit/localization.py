@@ -12,12 +12,16 @@ read in order share the products of their prefixes.
 * "expanded": t is the symbolic point, t_i the packed monomial x^(B^i).
   Entries are polynomials with integer coefficients, and the sum is the
   constant c exactly when S = c D coefficient by coefficient.  Makes no
-  genericity assumption and doubles as the oracle for the generic mode.
-* "generic": t is a generic integer point, entries are plain ints and
-  the sum is Fraction(S, D).  The table is built at two generic points,
-  whose values must agree.  Sound for numerators of total degree at most
-  the half dimension, where the sum is a constant rational function;
-  higher degrees are rejected.
+  genericity assumption.
+* "generic": t is one generic integer point, entries are plain ints and
+  the sum is Fraction(S, D), when the data is certified: its ids are
+  distinct, each point has half_dim pairwise independent weights and a
+  describing graph exists.  An edge labeled w joins a +w and a -w whose
+  other weights agree on {w = 0}, so there the residues of a symmetric
+  numerator cancel in pairs (Goresky-Kottwitz-MacPherson).  The sum of a
+  Chern class of degree at most half_dim, over denominators of degree
+  half_dim, is then a polynomial of degree at most 0: a constant.  Other
+  data takes the expanded table, so the modes agree or both refuse.
 
 Chern numbers take elementary symmetric polynomials of the weight forms
 as numerators; the top one always equals the Euler count.
@@ -31,7 +35,13 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
-from .model import FixedPointData, ValidationReport, _single
+from .model import (
+    FixedPointData,
+    ValidationReport,
+    _single,
+    build_multigraph,
+    check_gkm,
+)
 from .weights import (
     SparsePoly,
     Weight,
@@ -196,22 +206,34 @@ class _Table:
         return self.ratio(sum(chain[-1][1]))
 
 
-def _tables(data: FixedPointData, upto: int, mode: str,
-            degree: int | None = None) -> list[_Table]:
-    """The tables of the mode for classes up to degree upto: one at each
-    generic point, or one at the symbolic point.  Numerators may reach
-    total degree ``degree`` (default upto)."""
-    if mode == "generic":
-        # before canonicalize, so that a zero weight meets the schedule's error
-        schedule = generic_points(set(data.all_weights()), data.torus_rank)
-        rhos = (next(schedule), next(schedule))
-    elif mode != "expanded":
+def _certified(data: FixedPointData) -> bool:
+    """Distinct ids, half_dim pairwise independent weights at each point
+    and a describing graph: then every Chern-class sum is a constant."""
+    try:
+        return (len(data._by_id) == len(data.points)
+                and all(len(p.weights) == data.half_dim for p in data.points)
+                and check_gkm(data).passed and build_multigraph(data) is not None)
+    except ValueError:  # MatchingError included
+        return False
+
+
+def _table(data: FixedPointData, upto: int, mode: str,
+           degree: int | None = None) -> _Table:
+    """The table of the mode for classes up to degree upto: at one generic
+    point for certified data in generic mode, else at the symbolic point
+    for numerators of total degree ``degree`` (default upto)."""
+    if mode not in ("generic", "expanded"):
         raise ValueError(f"unknown mode {mode!r}")
+    k = data.torus_rank
+    # before canonicalize, so that a zero weight meets the schedule's error
+    rho = next(generic_points(set(data.all_weights()), k)) if mode == "generic" else None
     index: Dict[Tuple[Weight, int], int] = {}  # (form, copy at a point) -> factor of D
     rows = []
     for p in data.points:
         sign, den, seen = 1, [], []
         for w in p.weights:
+            if len(w) != k:  # the symbolic point would drop or miss entries
+                raise ValueError(f"dimension mismatch: {len(w)} vs {k}")
             s, rep = canonicalize(w)
             sign *= s
             den.append((s, index.setdefault((rep, seen.count(rep)), len(index))))
@@ -220,34 +242,20 @@ def _tables(data: FixedPointData, upto: int, mode: str,
     forms = [rep for rep, _ in index]
     rows = [(sign, den, [i for i in range(len(forms)) if i not in mine])
             for sign, den, mine in rows]
-    if mode == "generic":
-        return [_Table(forms, rows, upto, rho) for rho in rhos]
+    if rho is not None and _certified(data):
+        return _Table(forms, rows, upto, rho)
     base = 1 + len(forms) + max(upto if degree is None else degree, 0)
-    symbolic = [_Packed({base ** i: 1}) for i in range(data.torus_rank)]
-    return [_Table(forms, rows, upto, symbolic, _Packed({0: 1}))]
+    symbolic = [_Packed({base ** i: 1}) for i in range(k)]
+    return _Table(forms, rows, upto, symbolic, _Packed({0: 1}))
 
 
-def _agreed(what: str, values: Sequence[Fraction]) -> Fraction:
-    """The value of a class at every point; the generic points must agree."""
-    if values[-1] != values[0]:
-        raise InconsistencyError(
-            f"{what} differs between generic points: "
-            f"{printable(values[0])} vs {printable(values[-1])}")
-    return values[0]
-
-
-def integrate(data: FixedPointData, numerators: Mapping[str, SparsePoly],
-              mode: str = "generic") -> Fraction:
-    """Localized integral of per-point numerator classes."""
+def integrate(data: FixedPointData, numerators: Mapping[str, SparsePoly]) -> Fraction:
+    """Exact localized integral of per-point numerator classes.  Arbitrary
+    numerators carry no certificate, so the point is always symbolic."""
     _check_numerators(data, numerators)
     deg = max((poly_total_degree(q) for q in numerators.values()), default=0)
-    if mode == "generic" and deg > data.half_dim:
-        raise ValueError(
-            f"numerator degree {deg} exceeds half_dim {data.half_dim}; "
-            "generic evaluation is unsound here, use mode='expanded'")
-    return _agreed("localized sum", [
-        t.integral(t.evaluate(numerators[p.id]) for p in data.points)
-        for t in _tables(data, 0, mode, deg)])
+    table = _table(data, 0, "expanded", deg)
+    return table.integral(table.evaluate(numerators[p.id]) for p in data.points)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +285,12 @@ def chern_numerators(data: FixedPointData,
 def _chern_evaluator(data: FixedPointData, mode: str) -> Callable[[Partition], int]:
     """Integer Chern number of a sorted partition of half_dim.
 
-    The tables are built here, once for all partitions.
+    The table is built here, once for all partitions.
     """
-    tables = _tables(data, data.half_dim, mode)
+    table = _table(data, data.half_dim, mode)
 
     def number(part: Partition) -> int:
-        v = _agreed(f"Chern value for {part}", [t.product(part) for t in tables])
+        v = table.product(part)
         if v.denominator != 1:
             raise InconsistencyError(
                 f"Chern number for {part} is not an integer: {printable(v)}")
@@ -329,12 +337,12 @@ def check_lower_degree_vanishing(data: FixedPointData,
                                  mode: str = "generic") -> ValidationReport:
     """Localized integrals of all classes of degree below half_dim must vanish."""
     n = data.half_dim
-    tables = _tables(data, max(n - 1, 0), mode)
+    table = _table(data, max(n - 1, 0), mode)
     witnesses = []
     for m in range(n):
         for part in partitions(m):
             try:
-                value = _agreed("localized sum", [t.product(part) for t in tables])
+                value = table.product(part)
             except InconsistencyError as exc:
                 witnesses.append((part, str(exc)))
                 continue

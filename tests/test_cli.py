@@ -1,4 +1,4 @@
-"""Command line behavior: exit codes, output formats, environment knobs."""
+"""Command line behavior: exit codes, output formats, help and usage text."""
 
 import argparse
 import copy
@@ -167,31 +167,30 @@ class TestChern:
         assert doc["mode"] == "expanded"
         assert {"partition": [1, 1], "value": 9} in doc["values"]
 
-    def test_mode_env_default(self, capsys, cp2_file, monkeypatch):
-        monkeypatch.setenv("GKMKIT_MODE", "expanded")
-        code, out, _ = run(capsys, "chern", cp2_file, "--json")
-        assert code == 0
-        assert json.loads(out)["mode"] == "expanded"
-
-    def test_mode_flag_beats_env(self, capsys, cp2_file, monkeypatch):
-        monkeypatch.setenv("GKMKIT_MODE", "expanded")
-        code, out, _ = run(capsys, "chern", cp2_file, "--json", "--mode", "generic")
-        assert code == 0
-        assert json.loads(out)["mode"] == "generic"
+    def test_two_point_luck_refused_in_both_modes(self, capsys, tmp_path):
+        # c1^2 sums to 8 at (1,2) and at (1,3), but to 872/105 at (1,4)
+        path = tmp_path / "luck.json"
+        path.write_text(json.dumps({"torus_rank": 2, "half_dim": 2, "fixed_points": [
+            {"id": "p0", "weights": [[-3, 3], [3, 1]]},
+            {"id": "p1", "weights": [[3, -3], [-1, -1]]},
+            {"id": "p2", "weights": [[-3, -1], [1, 1]]}]}))
+        message = ("localized sum is not a constant; the numerators do not "
+                   "come from a global class of integral degree")
+        for mode in ("generic", "expanded"):
+            code, out, err = run(capsys, "chern", str(path), "--mode", mode)
+            assert (code, out, err) == (2, f"c2 = 3\nc1^2: FAIL ({message})\n", ""), mode
+            code, out, err = run(capsys, "chern", str(path), "--mode", mode,
+                                 "--partition", "1,1")
+            assert (code, out, err) == (2, "", f"error: {message}\n"), mode
 
     def test_mode_help_names_modes_and_default(self, capsys):
         code, out, _ = run(capsys, "chern", "--help")
         assert code == 0
         help_text = " ".join(out.split())
-        assert "generic (two evaluation points)" in help_text
+        assert ("generic (one point for GKM data with a describing graph, "
+                "else exact)") in help_text
         assert "expanded (exact polynomial identity)" in help_text
-        assert "default $GKMKIT_MODE, else generic" in help_text
-
-    def test_bad_env_mode(self, capsys, cp2_file, monkeypatch):
-        monkeypatch.setenv("GKMKIT_MODE", "fast")
-        code, _, err = run(capsys, "chern", cp2_file)
-        assert code == 64
-        assert "GKMKIT_MODE" in err
+        assert "default generic" in help_text
 
 
 class TestPetrie:
@@ -516,9 +515,9 @@ options:
                         comma-separated partition, e.g. 1,1,2
   --all                 all partitions (default)
   --mode {generic,expanded}
-                        localization mode: generic (two evaluation points) or
-                        expanded (exact polynomial identity); default
-                        $GKMKIT_MODE, else generic
+                        localization mode: generic (one point for GKM data
+                        with a describing graph, else exact) or expanded
+                        (exact polynomial identity); default generic
   --json
 """,
     "petrie": """usage: gkmkit petrie [-h] [--up-to-gl] [--json] file

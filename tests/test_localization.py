@@ -12,9 +12,11 @@ from gkmkit import (
     FixedPointData,
     InconsistencyError,
     all_entries,
+    build_multigraph,
     chern_number,
     chern_numerators,
     chern_report,
+    check_gkm,
     check_lower_degree_vanishing,
     compare_chern,
     cp3_nongkm,
@@ -30,7 +32,7 @@ from gkmkit import (
 from gkmkit import localization, weights
 from gkmkit.weights import poly_const, poly_const_value, poly_is_const
 
-from conftest import random_unimodular
+from conftest import blow_up, random_unimodular
 
 
 def corrupted_cp2() -> FixedPointData:
@@ -63,10 +65,25 @@ def refuted_sum() -> FixedPointData:
         FixedPoint("q1", ((2,), (3,), (-1,)))))
 
 
-def random_small_data(rng) -> FixedPointData:
-    """Rank 1-2, half_dim <= 3, entries in [-3, 3]; half of the samples
-    pair each point with its mirror, so that many sums are constant."""
-    k, n = rng.choice((1, 2)), rng.randint(1, 3)
+def repeated_id() -> FixedPointData:
+    """Two points named p0, of which lookup by id sees only the first: the
+    c1^2 sum is 2 (t1 + t2)^2 / (t1 t2), 9 at the first generic point (1, 2)."""
+    return FixedPointData(2, 2, (FixedPoint("p0", ((0, -1), (-1, 0))),
+                                 FixedPoint("p0", ((1, 0), (0, 1)))))
+
+
+def short_points() -> FixedPointData:
+    """Hirzebruch F_1 weights, two at each point, declared with half_dim 3."""
+    return FixedPointData(2, 3, (FixedPoint("q1", ((1, 0), (-1, 1))),
+                                 FixedPoint("q2", ((0, 1), (1, -1))),
+                                 FixedPoint("p1", ((-1, 0), (-1, 1))),
+                                 FixedPoint("p2", ((0, -1), (1, -1)))))
+
+
+def random_small_data(rng, ranks=(1, 2)) -> FixedPointData:
+    """Rank in ``ranks``, half_dim <= 3, entries in [-3, 3]; half of the
+    samples pair each point with its mirror, so that many sums are constant."""
+    k, n = rng.choice(ranks), rng.randint(1, 3)
 
     def weight():
         while True:
@@ -116,58 +133,49 @@ class TestIntegrate:
     def test_constant_numerator_vanishes(self):
         data = cpn(2).data
         ones = {p.id: poly_const(2, 1) for p in data.points}
-        assert integrate(data, ones, "generic") == 0
-        assert integrate(data, ones, "expanded") == 0
+        assert integrate(data, ones) == 0
 
     def test_e1_squared_on_cp2(self):
         data = cpn(2).data
         nums = chern_numerators(data, (1, 1))
-        assert integrate(data, nums, "generic") == Fraction(9)
-        assert integrate(data, nums, "expanded") == Fraction(9)
+        assert integrate(data, nums) == Fraction(9)
 
     def test_single_point_top_class(self):
         data = FixedPointData(2, 2, (FixedPoint("p", ((1, 0), (0, 1))),))
         nums = chern_numerators(data, (2,))
-        assert integrate(data, nums, "generic") == 1
-        assert integrate(data, nums, "expanded") == 1
+        assert integrate(data, nums) == 1
 
     def test_missing_numerator(self):
         data = cpn(2).data
         with pytest.raises(ValueError, match="missing"):
             integrate(data, {"p0": poly_const(2, 1)})
 
-    def test_generic_mode_rejects_high_degree(self):
-        data = cpn(2).data
-        nums = chern_numerators(data, (1, 1, 1, 1))
-        with pytest.raises(ValueError, match="expanded"):
-            integrate(data, nums, "generic")
-
     def test_expanded_mode_detects_non_constant_sum(self):
         data = cpn(2).data
         nums = chern_numerators(data, (1, 1, 1, 1))
         with pytest.raises(InconsistencyError, match="not a constant"):
-            integrate(data, nums, "expanded")
+            integrate(data, nums)
 
     def test_degree_above_half_dim_can_still_vanish(self):
         # e1^3 has degree 3 on a half_dim 2 space; the exact sum is zero
         data = cpn(2).data
         nums = chern_numerators(data, (1, 1, 1))
-        assert integrate(data, nums, "expanded") == 0
+        assert integrate(data, nums) == 0
 
     def test_part_above_half_dim_is_the_zero_class(self):
         data = cpn(2).data
-        assert integrate(data, chern_numerators(data, (3,)), "expanded") == 0
+        assert integrate(data, chern_numerators(data, (3,))) == 0
         for mode in ("generic", "expanded"):
-            for table in localization._tables(data, 2, mode):
-                assert table.product((3,)) == 0
-                assert table.product((3, 1)) == 0
+            table = localization._table(data, 2, mode)
+            assert table.product((3,)) == 0
+            assert table.product((3, 1)) == 0
             with pytest.raises(ValueError, match="degree 1"):
-                localization._tables(data, 1, mode)[0].product((2,))
+                localization._table(data, 1, mode).product((2,))
 
     def test_unknown_mode(self):
         data = cpn(1).data
         with pytest.raises(ValueError, match="mode"):
-            integrate(data, chern_numerators(data, (1,)), "fast")
+            chern_number(data, (1,), "fast")
 
     def test_localize_sum_constant(self):
         data = cpn(1).data
@@ -253,48 +261,29 @@ class TestModeAgreement:
             data = entry.data
             for part in partitions(data.half_dim):
                 nums = chern_numerators(data, part)
-                assert chern_number(data, part, "generic") == integrate(
-                    data, nums, "generic")
+                assert chern_number(data, part, "generic") == integrate(data, nums)
 
-    @staticmethod
-    def vanishing_values(data, mode):
-        """Per class of degree below half_dim: its value, or None if refused."""
-        witnesses = dict(check_lower_degree_vanishing(data, mode).result(
-            "lower_degree_vanishing").witnesses)
-        out = {}
-        for m in range(data.half_dim):
-            for part in partitions(m):
-                msg = witnesses.get(part, "0")
-                out[part] = None if msg.startswith("localized sum") else Fraction(msg)
-        return out
-
-    def test_generic_is_one_sided_against_expanded(self):
-        # generic may still certify a value on two-point luck, so only this
-        # direction holds: it never refuses what expanded accepts
+    def test_generic_agrees_with_expanded(self):
+        # certified data reads one generic point and the rest the symbolic
+        # table, so the modes agree on every value and every refusal
         rng = random.Random(20261019)
+        datasets = [random_small_data(rng, (1, 2, 3)) for _ in range(1200)]
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            space = cpn(n, random_unimodular(rng, n))
+            for _ in range(rng.randint(1, 3)):
+                space = blow_up(space, rng.choice(space.data.ids()))
+            assert localization._certified(space.data), space.data
+            datasets.append(space.data)
         seen = Counter()
-        for _ in range(1000):
-            data = random_small_data(rng)
+        for data in datasets:
             gen, exp = chern_report(data), chern_report(data, "expanded")
-            pairs = [(gen.values.get(part), exp.values.get(part))
-                     for part in partitions(data.half_dim)]
-            gen_zero, exp_zero = (self.vanishing_values(data, mode)
-                                  for mode in ("generic", "expanded"))
-            pairs += [(gen_zero[part], e) for part, e in exp_zero.items()]
-            for g, e in pairs:
-                if g is not None and e is not None:
-                    assert g == e, data
-                    seen["equal"] += 1
-                elif g is None:
-                    assert e is None, data
-                    seen["both refused"] += 1
-                else:
-                    seen["generic only"] += 1
-            assert gen.ok or not exp.ok, data
-            gen_pass, exp_pass = (check_lower_degree_vanishing(data, mode).passed
-                                  for mode in ("generic", "expanded"))
-            assert gen_pass or not exp_pass, data
-        assert seen["equal"] > 500 and seen["both refused"] > 500, seen
+            assert gen == exp, data
+            assert (check_lower_degree_vanishing(data)
+                    == check_lower_degree_vanishing(data, "expanded")), data
+            seen["certified"] += localization._certified(data)
+            seen["refused"] += len(exp.failures)
+        assert seen["certified"] > 250 and seen["refused"] > 250, seen
 
 
 class TestInvariance:
@@ -329,7 +318,7 @@ class TestVanishing:
 
 class TestCorruptedData:
     def test_generic_cross_check_trips(self):
-        with pytest.raises(InconsistencyError, match="generic points"):
+        with pytest.raises(InconsistencyError, match="not a constant"):
             chern_number(corrupted_cp2(), (1, 1), "generic")
 
     def test_expanded_sum_not_constant(self):
@@ -343,11 +332,38 @@ class TestCorruptedData:
         with pytest.raises(InconsistencyError, match="not a constant"):
             chern_number(two_point_luck(), (1, 1), "expanded")
 
-    @pytest.mark.xfail(strict=True, reason="generic mode certifies a value that "
-                       "agrees at its two points; needs a residue certificate")
     def test_generic_refuses_two_point_luck(self):
         with pytest.raises(InconsistencyError):
             chern_number(two_point_luck(), (1, 1), "generic")
+
+    def test_repeated_id_is_not_certified(self):
+        data = repeated_id()
+        assert not localization._certified(data)
+        generic, expanded = chern_report(data), chern_report(data, "expanded")
+        assert [f[0] for f in generic.failures] == [(1, 1)]
+        assert generic == expanded
+
+    def test_short_points_are_not_certified(self):
+        # Hirzebruch F_1 weights declared with half_dim 3 have a describing
+        # graph and no pole, but the c1^3 sum is -2 (t1 + t2), which the
+        # first generic point (1, 2) would read as -6
+        data = short_points()
+        assert check_gkm(data).passed and build_multigraph(data)
+        assert not localization._certified(data)
+        generic, expanded = chern_report(data), chern_report(data, "expanded")
+        assert (1, 1, 1) in [f[0] for f in generic.failures]
+        assert generic == expanded
+
+    def test_weight_of_wrong_length_is_refused(self):
+        # the symbolic point would read (a, b, 5) as (a, b)
+        pts = list(cpn(2).data.points)
+        pts[0] = FixedPoint(pts[0].id, (pts[0].weights[0] + (5,),) + pts[0].weights[1:])
+        data = FixedPointData(2, 2, tuple(pts))
+        nums = {p.id: poly_const(2, 1) for p in data.points}
+        for call in (lambda: chern_report(data), lambda: chern_report(data, "expanded"),
+                     lambda: integrate(data, nums)):
+            with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+                call()
 
     def test_report_captures_failure(self):
         rep = chern_report(corrupted_cp2())
@@ -379,8 +395,12 @@ class TestCompare:
             compare_chern(cpn(2).data, cpn(3).data)
 
 
+NOT_CONSTANT = ("localized sum is not a constant; the numerators do not come "
+                "from a global class of integral degree")
+
+
 class TestKernel:
-    """The shared per-point integer table behind every generic-mode class."""
+    """The shared per-point table behind every class, and its messages."""
 
     def test_every_partition_equals_expanded_sum(self, rng):
         datasets = [entry.data for entry in all_entries()]
@@ -389,17 +409,14 @@ class TestKernel:
         for data in datasets:
             values = chern_report(data).values
             for part in partitions(data.half_dim):
-                exact = integrate(data, chern_numerators(data, part), "expanded")
+                exact = integrate(data, chern_numerators(data, part))
                 assert values[part] == exact, (data, part)
 
     def test_corrupted_messages_pinned(self):
-        assert chern_report(corrupted_cp2()).failures == (
-            ((1, 1), "Chern value for (1, 1) differs between generic points: "
-                     "26/3 vs 91/10"),)
+        assert chern_report(corrupted_cp2()).failures == (((1, 1), NOT_CONSTANT),)
         rep = check_lower_degree_vanishing(corrupted_cp2())
         assert rep.result("lower_degree_vanishing").witnesses == (
-            ((), "localized sum differs between generic points: -1/3 vs -1/10"),
-            ((1,), "localized sum differs between generic points: 2/3 vs 3/10"))
+            ((), NOT_CONSTANT), ((1,), NOT_CONSTANT))
 
     def test_non_integral_messages_pinned(self):
         data = FixedPointData(1, 2, (FixedPoint("p0", ((1,), (1,))),
@@ -410,8 +427,7 @@ class TestKernel:
             ((1, 1), "Chern number for (1, 1) is not an integer: 17/2"),)
         vanishing = check_lower_degree_vanishing(data)
         assert vanishing.result("lower_degree_vanishing").witnesses == (
-            ((), "localized sum differs between generic points: 3/2 vs 3/8"),
-            ((1,), "localized sum differs between generic points: 1/2 vs 1/4"))
+            ((), NOT_CONSTANT), ((1,), NOT_CONSTANT))
 
     def test_one_schedule_per_call_and_no_symbolic_products(self, monkeypatch):
         calls = Counter()
@@ -448,7 +464,7 @@ class TestExpanded:
         seen = Counter()
         for _ in range(200):
             data = random_small_data(rng)
-            (table,) = localization._tables(data, data.half_dim, "expanded")
+            table = localization._table(data, data.half_dim, "expanded")
             for m in range(data.half_dim + 1):
                 for part in partitions(m):
                     exact = factored_sum_value(data, part)
@@ -461,9 +477,9 @@ class TestExpanded:
         # would read c = 0 here
         data = refuted_sum()
         assert factored_sum_value(data, (1,)) is None
-        assert self.table_value(localization._tables(data, 3, "expanded")[0], (1,)) is None
+        assert self.table_value(localization._table(data, 3, "expanded"), (1,)) is None
         with pytest.raises(InconsistencyError, match="not a constant"):
-            integrate(data, chern_numerators(data, (1,)), "expanded")
+            integrate(data, chern_numerators(data, (1,)))
         rep = check_lower_degree_vanishing(data, "expanded")
         assert (1,) in [w[0] for w in rep.result("lower_degree_vanishing").witnesses]
 
@@ -478,8 +494,7 @@ class TestExpanded:
         data = cpn(2).data
         nums = {pid: {e: c / 3 for e, c in q.items()}
                 for pid, q in chern_numerators(data, (1, 1)).items()}
-        for mode in ("expanded", "generic"):
-            assert integrate(data, nums, mode) == 3
+        assert integrate(data, nums) == 3
 
     def test_no_symbolic_reference_calls(self, monkeypatch):
         calls = Counter()
