@@ -292,51 +292,46 @@ def cmd_example(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each command: its function, its help line and its arguments, as
+# (name, add_argument keywords), read by both ``build_parser`` and
+# ``_parse_plain``; every ``action`` here is store_true.
+_FILE = ("file", {})
+_JSON = ("--json", {"action": "store_true"})
+_OUT = ("--out", {})
 COMMANDS = {
-    "validate": (cmd_validate, "run all applicable checks"),
-    "genus": (cmd_genus, "chi_y genus and its specializations"),
-    "chern": (cmd_chern, "Chern numbers by localization"),
-    "petrie": (cmd_petrie, "compare against the linear model"),
-    "graph": (cmd_graph, "export or build the describing multigraph"),
-    "example": (cmd_example, "emit a catalog dataset"),
-}
-
-
-def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
-    """Declare the arguments of ``command`` on ``p``: its subparser in the
-    full parser, or the one-command parser of ``_parse_args``."""
-    if command == "example":
-        p.add_argument("name",
-                       choices=("cpn", "cp3_nongkm", "s6", "s6_blowup", "fano"))
-        p.add_argument("--n", type=int, default=2, help="dimension for cpn")
-        p.add_argument("--basis", help="semicolon-separated rows, e.g. 1,0;1,1")
-        p.add_argument("--a", default="1,0", help="first parameter vector")
-        p.add_argument("--b", default="0,1", help="second parameter vector")
-        p.add_argument("--variant", default="V5", help="fano variant: V5 or V22")
-    else:
-        p.add_argument("file")
-    if command == "genus":
-        p.add_argument("--xi", help="comma-separated circle, e.g. 1,3")
-    elif command == "chern":
-        p.add_argument("--partition", help="comma-separated partition, e.g. 1,1,2")
-        p.add_argument("--all", action="store_true", help="all partitions (default)")
-        p.add_argument("--mode", choices=("generic", "expanded"), default="generic",
-                       help="localization mode: generic (one point for GKM data "
+    "validate": (cmd_validate, "run all applicable checks", (_FILE, _JSON)),
+    "genus": (cmd_genus, "chi_y genus and its specializations", (
+        _FILE, ("--xi", {"help": "comma-separated circle, e.g. 1,3"}), _JSON)),
+    "chern": (cmd_chern, "Chern numbers by localization", (
+        _FILE,
+        ("--partition", {"help": "comma-separated partition, e.g. 1,1,2"}),
+        ("--all", {"action": "store_true", "help": "all partitions (default)"}),
+        ("--mode", {"choices": ("generic", "expanded"), "default": "generic",
+                    "help": "localization mode: generic (one point for GKM data "
                             "with a describing graph, else exact) or expanded "
-                            "(exact polynomial identity); default generic")
-    elif command == "petrie":
-        p.add_argument("--up-to-gl", action="store_true",
-                       help="also report that normalizing by the recovered basis "
-                            "gives the standard model")
-    elif command == "graph":
-        p.add_argument("--format", choices=("dot", "json"), default="dot")
-        p.add_argument("--build", action="store_true",
-                       help="rebuild even when the file carries edges")
-    if command in ("graph", "example"):
-        p.add_argument("--out")
-    else:
-        p.add_argument("--json", action="store_true")
-    p.set_defaults(func=COMMANDS[command][0])
+                            "(exact polynomial identity); default generic"}),
+        _JSON)),
+    "petrie": (cmd_petrie, "compare against the linear model", (
+        _FILE,
+        ("--up-to-gl", {"action": "store_true",
+                        "help": "also report that normalizing by the recovered "
+                                "basis gives the standard model"}),
+        _JSON)),
+    "graph": (cmd_graph, "export or build the describing multigraph", (
+        _FILE,
+        ("--format", {"choices": ("dot", "json"), "default": "dot"}),
+        ("--build", {"action": "store_true",
+                     "help": "rebuild even when the file carries edges"}),
+        _OUT)),
+    "example": (cmd_example, "emit a catalog dataset", (
+        ("name", {"choices": ("cpn", "cp3_nongkm", "s6", "s6_blowup", "fano")}),
+        ("--n", {"type": int, "default": 2, "help": "dimension for cpn"}),
+        ("--basis", {"help": "semicolon-separated rows, e.g. 1,0;1,1"}),
+        ("--a", {"default": "1,0", "help": "first parameter vector"}),
+        ("--b", {"default": "0,1", "help": "second parameter vector"}),
+        ("--variant", {"default": "V5", "help": "fano variant: V5 or V22"}),
+        _OUT)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,27 +339,70 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gkmkit",
                      description="validate and analyze torus fixed-point data")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (_, text) in COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=text), name)
+    for name, (func, text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` as the full parser does, less its ``command``, with
-    only the parser of the command that ``argv[0]`` names; the full parser
-    is built for help, a missing or unknown command and leftover arguments."""
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The full parser's Namespace for ``argv``, read from ``COMMANDS``
+    without building a parser; None unless ``argv`` is a command word and
+    then only exact option names (``--opt value`` with a value that does
+    not start with "-", or ``--opt=value``), flags and the one positional,
+    every value valid for its ``type`` and ``choices``."""
     if not argv or argv[0] not in COMMANDS:
-        return build_parser().parse_args(argv)
-    parser = _Parser(prog="gkmkit " + argv[0])
-    _add_arguments(parser, argv[0])
-    args, extras = parser.parse_known_args(argv[1:])
-    if extras:
-        build_parser().error("unrecognized arguments: " + " ".join(extras))
-    return args
+        return None
+    func, _, arguments = COMMANDS[argv[0]]
+    specs = {name if name[0] == "-" else "": (name.lstrip("-").replace("-", "_"), kw)
+             for name, kw in arguments}  # the positional under ""
+    values = {dest: kw.get("default", False if "action" in kw else None)
+              for dest, kw in specs.values()}
+    words, positionals = iter(argv[1:]), 0
+    for word in words:
+        if word.startswith("-"):
+            name, eq, value = word.partition("=")
+        else:  # the positional, whose value is the word itself
+            name, eq, value = "", "=", word
+            positionals += 1
+        if name not in specs:
+            return None
+        dest, kw = specs[name]
+        if "action" in kw:
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(words, "-")  # a missing value is refused below
+            if value.startswith("-"):
+                return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        values[dest] = value
+    if positionals != 1:
+        return None
+    return argparse.Namespace(command=argv[0], func=func, **values)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser does.  Well-formed calls are read
+    by ``_parse_plain``; the full parser is built only for the rest (help,
+    ``--``, abbreviations, values that start with "-", usage errors), so
+    its help and error messages stay the same."""
+    args = _parse_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # not cached: a gkmkit process calls main once
+    # no parser is cached: a gkmkit process calls main once, and a
+    # well-formed call builds none
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)

@@ -515,8 +515,13 @@ def build_multigraph(data: FixedPointData) -> Multigraph:
     without self-loops iff L_x + R_x <= n for every x (Hall's theorem);
     otherwise the one point over the bound gets the forced L_x + R_x - n
     loops and no others do.  Raises MatchingError naming the first weight
-    class with a bucket whose two signs differ in number.
+    class with a bucket whose two signs differ in number, and ValueError
+    on a repeated point id.
     """
+    ids = data.ids()
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise ValueError(f"repeated point id {a!r}, no multigraph can describe the data")
     plus: Dict[Weight, list[str]] = {}
     minus: Dict[Weight, list[str]] = {}
     for p in sorted(data.points, key=lambda p: p.id):
@@ -543,7 +548,7 @@ def build_multigraph(data: FixedPointData) -> Multigraph:
             edges.extend(Edge(u, v, rep) for u, v in _pair_bucket(left, right))
 
     edges.sort(key=lambda e: (e.from_id, e.to_id, e.label))
-    return Multigraph(data.ids(), tuple(edges))
+    return Multigraph(ids, tuple(edges))
 
 
 def validate_all(data: FixedPointData,

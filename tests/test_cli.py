@@ -585,8 +585,9 @@ class TestFrontDoor:
         monkeypatch.setenv("COLUMNS", "80")
         assert run(capsys, *argv) == (code, out, err)
 
-    def test_one_parser_per_command(self, capsys, tmp_path, cp2_file, monkeypatch):
-        """A call that names a command builds that command's parser only."""
+    def test_plain_argv_builds_no_parser(self, capsys, tmp_path, cp2_file, monkeypatch):
+        """A well-formed call builds no parser.  Help and usage errors build
+        the full parser once: prog ``gkmkit``, with its six subparsers."""
         progs = []
         init = cli._Parser.__init__
 
@@ -595,12 +596,25 @@ class TestFrontDoor:
             progs.append(parser.prog)
 
         monkeypatch.setattr(cli._Parser, "__init__", spy)
-        for name in cli.COMMANDS:
-            argv = (["example", "cpn", "--out", str(tmp_path / "out.json")]
-                    if name == "example" else [name, cp2_file])
+        out = str(tmp_path / "out.json")
+        plain = {
+            "validate": ["validate", cp2_file, "--json"],
+            "genus": ["genus", "--xi", "1,3", cp2_file],
+            "chern": ["chern", cp2_file, "--mode=expanded", "--partition", "1,1"],
+            "petrie": ["petrie", cp2_file, "--up-to-gl", "--json"],
+            "graph": ["graph", cp2_file, "--build", "--format", "json", "--out=" + out],
+            "example": ["example", "cpn", "--n=2", "--basis", "1,0;1,1", "--out", out],
+        }
+        assert list(plain) == list(cli.COMMANDS)
+        for name, argv in plain.items():
             progs.clear()
             assert run(capsys, *argv)[0] == 0, name
-            assert progs == [f"gkmkit {name}"]
+            assert progs == [], name
+        full = ["gkmkit"] + [f"gkmkit {name}" for name in cli.COMMANDS]
+        for argv, code in ((["chern", cp2_file, "-h"], 0), (["chern", cp2_file, "--bogus"], 64)):
+            progs.clear()
+            assert run(capsys, *argv)[0] == code
+            assert progs == full, argv
 
     DIFFERENTIAL = [
         ["chern", "F", "--mode=expanded"], ["chern", "--partition=1,1", "F"],
@@ -618,11 +632,32 @@ class TestFrontDoor:
         ["example", "cpn", "--n", "x"], ["example", "cpn", "--n", "-3"],
         ["example", "torus"], ["graph", "F", "--out"], ["petrie", "F", "--up"],
         ["validate", "F", "--jsonx"], ["validate", "F", "--json=1"],
+        ["example", "cpn", "--n=3"], ["example", "cpn", "--n= 3"], ["example", "cpn", "--n=x"],
+        ["chern", "F", "--partition="], ["validate", "F", "--json="],
+        ["graph", "F", "--out=o.json"], ["graph", "F", "--out", ""], ["graph", "F", "--out="],
+        ["example", "cpn", "--b", "1,1"], ["example", "cpn", "--ba", "1,0;0,1"],
+        ["example", "cpn", "--b=-1,1"], ["example", "cpn", "--a", "-"],
+        ["chern", "-"], ["chern", ""], ["example", ""], ["validate", "a=b"],
+        ["petrie", "F", "--up-to-gl=1"], ["petrie", "--up-to-gl", "F"],
     ]
     TOKENS = ("F", "G", "--", "-", "-h", "--json", "--js", "--bogus", "-x", "--mode",
               "--mode=generic", "--mo", "expanded", "fast", "--format", "--format=json",
               "svg", "--out", "o.json", "--xi", "-1,2", "--partition", "1,1", "--n", "3",
-              "--basis", "--up-to-gl", "--build", "--all", "cpn", "s6", "fano")
+              "--basis", "--up-to-gl", "--build", "--all", "cpn", "s6", "fano",
+              "--xi=-1,2", "--n=3", "--partition=", "--json=", "--out=o.json", "--b",
+              "--ba", "", "a=b", "--up-to-gl=1")
+    # well-formed words of each command, an option and its value together
+    PLAIN = {
+        "validate": (["--json"],),
+        "genus": (["--xi", "1,3"], ["--xi=-1,2"], ["--json"]),
+        "chern": (["--mode", "expanded"], ["--mode=generic"], ["--partition", "1,1"],
+                  ["--partition="], ["--all"], ["--json"]),
+        "petrie": (["--up-to-gl"], ["--json"]),
+        "graph": (["--format", "json"], ["--format=dot"], ["--build"], ["--out", ""],
+                  ["--out=o.json"]),
+        "example": (["--n", "3"], ["--n=-3"], ["--basis", "1,0;1,1"], ["--a", "1,0"],
+                    ["--b=0,1"], ["--variant", "V22"], ["--out", "o.json"]),
+    }
 
     @staticmethod
     def parsed(capsys, parse, argv):
@@ -635,21 +670,30 @@ class TestFrontDoor:
             vars(args).pop("command", None)
         return args, captured.out, captured.err
 
-    def test_one_command_parser_agrees_with_full_parser(self, capsys, monkeypatch):
-        """Namespace, or exit code, stdout and stderr, as the full parser."""
+    def test_plain_reader_agrees_with_full_parser(self, capsys, monkeypatch):
+        """Where ``_parse_plain`` reads argv, it gives the full parser's
+        Namespace and prints nothing; ``_parse_args`` gives the full parser's
+        Namespace, or exit code, stdout and stderr, on every argv."""
         monkeypatch.setenv("COLUMNS", "80")
         rng = random.Random(20261018)
         corpus = list(self.DIFFERENTIAL)
         for _ in range(300):
             name = rng.choice(list(cli.COMMANDS))
-            argv = [rng.choice(self.TOKENS) for _ in range(rng.randint(0, 4))]
+            words = [rng.choice(self.PLAIN[name]) if rng.random() < 0.5
+                     else [rng.choice(self.TOKENS)] for _ in range(rng.randint(0, 4))]
             if rng.random() < 0.7:  # mostly with the positional argument
-                argv.insert(rng.randint(0, len(argv)), "cpn" if name == "example" else "F")
-            corpus.append([name] + argv)
+                words.insert(rng.randint(0, len(words)), ["cpn" if name == "example" else "F"])
+            corpus.append([name] + [word for group in words for word in group])
+        read = 0
         for argv in corpus:
-            one = self.parsed(capsys, cli._parse_args, list(argv))
             full = self.parsed(capsys, cli.build_parser().parse_args, list(argv))
-            assert one == full, argv
+            plain = self.parsed(capsys, cli._parse_plain, list(argv))
+            if plain[0] is not None:
+                read += 1
+                assert plain == full, argv
+            assert plain[1:] == ("", ""), argv
+            assert self.parsed(capsys, cli._parse_args, list(argv)) == full, argv
+        assert read >= len(corpus) / 4, (read, len(corpus))
 
 
 class TestEntryPoint:

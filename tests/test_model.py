@@ -526,6 +526,20 @@ class TestValidateAll:
         rep = validate_all(data)
         assert not rep.result("buildable").passed
 
+    def test_repeated_id_is_not_buildable(self):
+        # lookup by id sees only the first p0, so the residues of the
+        # second point were never read and the graph was two self-loops
+        data = FixedPointData(2, 2, (FixedPoint("p0", ((0, -1), (-1, 0))),
+                                     FixedPoint("p0", ((1, 0), (0, 1)))))
+        rep = validate_all(data)
+        assert [(r.check, r.passed) for r in rep.results] == [
+            ("pairing", True), ("weight_sum", True), ("gkm", True),
+            ("buildable", False)]
+        assert rep.result("buildable").note == (
+            "repeated point id 'p0', no multigraph can describe the data")
+        with pytest.raises(ValueError, match="repeated point id 'p0'"):
+            build_multigraph(data)
+
 
 class TestTransforms:
     def test_transform_applies_matrix(self):
