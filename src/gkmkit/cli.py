@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import catalog as cat
@@ -55,6 +56,25 @@ def _fmt_weight(w: Weight) -> str:
     return "(" + ",".join(str(a) for a in w) + ")"
 
 
+def _dumps(x, indent: str = "\n") -> str:
+    """``json.dumps(x, indent=2)`` on gkmkit's output (str keys, no floats),
+    without the pure-Python encoder that ``json`` takes for an indent."""
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(x, (list, tuple)):
+        items = [_dumps(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _print_report(report: ValidationReport, as_json: bool) -> None:
     if as_json:
         doc = [{
@@ -63,7 +83,7 @@ def _print_report(report: ValidationReport, as_json: bool) -> None:
             "witnesses": [str(printable(w)) for w in r.witnesses],
             "note": r.note,
         } for r in report.results]
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
         return
     for r in report.results:
         status = "pass" if r.passed else "FAIL"
@@ -158,7 +178,7 @@ def cmd_genus(args: argparse.Namespace) -> int:
             "checks": [{"check": r.check, "passed": r.passed, "note": r.note}
                        for c in checks for r in c.results],
         }
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
     else:
         print(f"chi_y = {genus.as_y_string()}")
         print(f"coefficients = {list(genus.coeffs)}")
@@ -196,7 +216,7 @@ def cmd_chern(args: argparse.Namespace) -> int:
             "failures": [{"partition": list(p), "error": msg}
                          for p, msg in report.failures],
         }
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
     else:
         for p in partitions(data.half_dim):
             if p in report.values:
@@ -227,7 +247,7 @@ def cmd_petrie(args: argparse.Namespace) -> int:
             inv["chern"] = [{"partition": list(p), "value": printable(v)}
                             for p, v in sorted(inv["chern"].items())]
             doc["invariants"] = inv
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
     else:
         print(f"verdict: {report.verdict}")
         if report.witness:

@@ -38,8 +38,8 @@ from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 from .model import (
     FixedPointData,
     ValidationReport,
+    _residue_buckets,
     _single,
-    build_multigraph,
     check_gkm,
 )
 from .weights import (
@@ -65,19 +65,20 @@ class InconsistencyError(ValueError):
 
 
 def partitions(m: int) -> Tuple[Partition, ...]:
-    """Weakly decreasing integer partitions of m; partitions(0) is ((),)."""
+    """Weakly decreasing integer partitions of m in decreasing lexicographic
+    order; partitions(0) is ((),)."""
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-
-    def gen(rest: int, cap: int) -> Iterable[Partition]:
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, cap), 0, -1):
-            for tail in gen(rest - first, first):
-                yield (first,) + tail
-
-    return tuple(gen(m, m))
+    out, part = [], [m] if m else []
+    while True:
+        out.append(tuple(part))
+        ones = part.count(1)  # all at the end
+        del part[len(part) - ones:]
+        if not part:
+            return tuple(out)
+        part[-1] -= 1  # the last part drops by one; the rest refills with parts <= it
+        q, r = divmod(ones + 1, part[-1])
+        part += [part[-1]] * q + [r] * (r > 0)
 
 
 def _check_numerators(data: FixedPointData,
@@ -141,20 +142,23 @@ class _Table:
     """The localization table of one dataset at the point t_1..t_k.
 
     ``forms`` lists the factors of D; ``rows`` holds per fixed point its
-    sign, its weights as (sign, index into ``forms``) and the indices of
-    the factors of D / den_p; ``one`` is the unit of the ring of t."""
+    sign and its weights as (sign, index into ``forms``); ``one`` is the
+    unit of the ring of t."""
 
     def __init__(self, forms: Sequence[Weight], rows: Sequence, upto: int,
                  point: Sequence, one=1):
         at = [sum(map(operator.mul, rep, point)) for rep in forms]
         self.point = point
         self.upto = upto
-        self.width = max((len(den) for _, den, _ in rows), default=0)
-        self.denominator = prod(at, start=one)
-        self.multipliers = [sign * prod(map(at.__getitem__, rest), start=one)
-                            for sign, _, rest in rows]
-        self.elems = [elem_sym_scalars([s * at[i] for s, i in den], upto)
-                      for _, den, _ in rows]
+        self.width = max((len(den) for _, den in rows), default=0)
+        self.denominator = d = prod(at, start=one)
+        if not isinstance(d, _Packed):  # D / den_p by exact division
+            self.multipliers = [sign * (d // prod(at[i] for _, i in den)) for sign, den in rows]
+        else:  # _Packed has no division: the product of the other factors
+            mine = [{i for _, i in den} for _, den in rows]
+            self.multipliers = [sign * prod((a for i, a in enumerate(at) if i not in m), start=one)
+                                for (sign, _), m in zip(rows, mine)]
+        self.elems = [elem_sym_scalars([s * at[i] for s, i in den], upto) for _, den in rows]
         # entry i: the last partition read cut to length i and, per point,
         # M_p * e_{lambda_1} * ... * e_{lambda_i}
         self.chain = [((), self.multipliers)]
@@ -207,13 +211,16 @@ class _Table:
 
 
 def _certified(data: FixedPointData) -> bool:
-    """Every point has half_dim pairwise independent weights and the data
-    has a describing graph, which needs distinct ids: then every
+    """Every point has half_dim pairwise independent weights (as a lattice
+    basis has, which flagged torus-manifold data is checked for) and every
+    residue bucket balances, so a describing graph exists: then every
     Chern-class sum is a constant."""
     try:
         return (all(len(p.weights) == data.half_dim for p in data.points)
-                and check_gkm(data).passed and build_multigraph(data) is not None)
-    except ValueError:  # MatchingError included
+                and ((data.torus_manifold and data._non_basis_point is None)
+                     or check_gkm(data).passed)
+                and all(len(a) == len(b) for _, a, b in _residue_buckets(data)))
+    except ValueError:  # a repeated id or a pairing violation
         return False
 
 
@@ -230,18 +237,16 @@ def _table(data: FixedPointData, upto: int, mode: str,
     index: Dict[Tuple[Weight, int], int] = {}  # (form, copy at a point) -> factor of D
     rows = []
     for p in data.points:
-        sign, den, seen = 1, [], []
+        sign, den, seen = 1, [], {}
         for w in p.weights:
             if len(w) != k:  # the symbolic point would drop or miss entries
                 raise ValueError(f"dimension mismatch: {len(w)} vs {k}")
             s, rep = canonicalize(w)
             sign *= s
-            den.append((s, index.setdefault((rep, seen.count(rep)), len(index))))
-            seen.append(rep)
-        rows.append((sign, den, {i for _, i in den}))
+            seen[rep] = copy = seen.get(rep, -1) + 1
+            den.append((s, index.setdefault((rep, copy), len(index))))
+        rows.append((sign, den))
     forms = [rep for rep, _ in index]
-    rows = [(sign, den, [i for i in range(len(forms)) if i not in mine])
-            for sign, den, mine in rows]
     if rho is not None and _certified(data):
         return _Table(forms, rows, upto, rho)
     base = 1 + len(forms) + max(upto if degree is None else degree, 0)

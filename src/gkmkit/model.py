@@ -334,12 +334,14 @@ class _PackedResidues:
             p = (p << self.width) + a
         return p
 
-    def residues(self, label: Weight, pids: Iterable[str]) -> Dict[str, list[int]]:
+    def residues(self, label: Weight, pids: Iterable[str],
+                 packed: int | None = None) -> Dict[str, list[int]]:
         """Packed residues mod label of the weights at each point, in order;
-        u mod w is u mod -w, so the label's sign is dropped first."""
-        label = canonicalize(label)[1]
+        u mod w is u mod -w, so the label's sign is dropped first.
+        ``packed`` is the label's packed int, if the caller has it."""
+        s, label = canonicalize(label)
         j = pivot_index(label)
-        d, pw = label[j], self.pack(label)
+        d, pw = label[j], self.pack(label) if packed is None else s * packed
         return {pid: [pu - u[j] // d * pw for u, pu in zip(*self.packed[pid])]
                 for pid in pids}
 
@@ -503,52 +505,61 @@ def _pair_bucket(left: Sequence[str], right: Sequence[str]) -> Iterator[Tuple[st
         heapq.heappush(heaviest, (-load[v], v))
 
 
-def build_multigraph(data: FixedPointData) -> Multigraph:
-    """Construct a describing multigraph from bare weight data.
-
-    Weight occurrences are grouped into classes {w, -w}.  Within a class,
-    w at p may pair with -w at q exactly when the whole weight multisets
-    at p and q agree modulo w, i.e. have the same sorted residues; so the
-    class splits into buckets by residue signature, compared as sorted
-    packed ints (see ``_PackedResidues``).  A bucket holding n
-    occurrences of each sign, L_x of w and R_x of -w at point x, pairs
-    without self-loops iff L_x + R_x <= n for every x (Hall's theorem);
-    otherwise the one point over the bound gets the forced L_x + R_x - n
-    loops and no others do.  Raises MatchingError naming the first weight
-    class with a bucket whose two signs differ in number, and ValueError
-    on a repeated point id.
-    """
+def _residue_buckets(data: FixedPointData) -> Iterator[Tuple[Weight, list[str], list[str]]]:
+    """(class, ids at its +w, ids at its -w) per residue bucket, classes in
+    sorted order.  Within a class {w, -w}, w at p may pair with -w at q
+    exactly when the weight multisets at p and q have the same sorted
+    residues mod w, compared as packed ints (see ``_PackedResidues``).
+    Raises ValueError on a repeated point id or a pairing violation,
+    before the first bucket."""
     ids = data.ids()
     for a, b in zip(ids, ids[1:]):
         if a == b:
             raise ValueError(f"repeated point id {a!r}, no multigraph can describe the data")
+    kernel = _PackedResidues(data)
     plus: Dict[Weight, list[str]] = {}
     minus: Dict[Weight, list[str]] = {}
-    for p in sorted(data.points, key=lambda p: p.id):
-        for w in p.weights:
+    packed: Dict[Weight, int] = {}  # class -> its packed representative
+    for pid in ids:
+        for w, pw in zip(*kernel.packed[pid]):
             s, rep = canonicalize(w)
-            (plus if s > 0 else minus).setdefault(rep, []).append(p.id)
-    if ({rep: len(ids) for rep, ids in plus.items()}
-            != {rep: len(ids) for rep, ids in minus.items()}):
+            (plus if s > 0 else minus).setdefault(rep, []).append(pid)
+            packed[rep] = s * pw
+    if ({rep: len(v) for rep, v in plus.items()}
+            != {rep: len(v) for rep, v in minus.items()}):
         raise ValueError(f"pairing violation, no multigraph can describe the data: "
                          f"{check_pairing(data).results[0].note}")
-
-    kernel = _PackedResidues(data)
-    edges: list[Edge] = []
     for rep in sorted(plus):
-        residues = {pid: tuple(sorted(rs)) for pid, rs
-                    in kernel.residues(rep, {*plus[rep], *minus[rep]}).items()}
+        left, right = plus[rep], minus[rep]
+        residues = kernel.residues(rep, {*left, *right}, packed[rep])
+        if len(left) == 1 and sorted(residues[left[0]]) == sorted(residues[right[0]]):
+            yield rep, left, right  # one pair: one comparison
+            continue
         buckets: Dict[Tuple[int, ...], Tuple[list[str], list[str]]] = {}
-        for side, pids in enumerate((plus[rep], minus[rep])):
+        for side, pids in enumerate((left, right)):
             for pid in pids:
-                buckets.setdefault(residues[pid], ([], []))[side].append(pid)
-        for left, right in buckets.values():
-            if len(left) != len(right):
-                raise MatchingError(rep, f"no congruent matching for weight class {rep}")
-            edges.extend(Edge(u, v, rep) for u, v in _pair_bucket(left, right))
+                buckets.setdefault(tuple(sorted(residues[pid])), ([], []))[side].append(pid)
+        for bucket in buckets.values():
+            yield (rep, *bucket)
 
+
+def build_multigraph(data: FixedPointData) -> Multigraph:
+    """Construct a describing multigraph from bare weight data.
+
+    A residue bucket (see ``_residue_buckets``) holding n occurrences of
+    each sign, L_x of w and R_x of -w at point x, pairs without self-loops
+    iff L_x + R_x <= n for every x (Hall's theorem); otherwise the one
+    point over the bound gets the forced L_x + R_x - n loops and no others
+    do.  Raises MatchingError naming the first weight class with an
+    unbalanced bucket, and ValueError as ``_residue_buckets`` does.
+    """
+    edges: list[Edge] = []
+    for rep, left, right in _residue_buckets(data):
+        if len(left) != len(right):
+            raise MatchingError(rep, f"no congruent matching for weight class {rep}")
+        edges.extend(Edge(u, v, rep) for u, v in _pair_bucket(left, right))
     edges.sort(key=lambda e: (e.from_id, e.to_id, e.label))
-    return Multigraph(ids, tuple(edges))
+    return Multigraph(data.ids(), tuple(edges))
 
 
 def validate_all(data: FixedPointData,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg as _neg
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 Weight = Tuple[int, ...]
@@ -73,9 +73,13 @@ def pivot_index(w: Weight) -> int:
 
 def canonicalize(w: Weight) -> Tuple[int, Weight]:
     """Split ``w`` into (sign, representative with positive leading entry)."""
-    if w[pivot_index(w)] > 0:
-        return 1, tuple(w)
-    return -1, tuple(-a for a in w)
+    w = tuple(w)
+    zero = (0,) * len(w)  # tuples compare at their first differing entry
+    if w > zero:
+        return 1, w
+    if w < zero:
+        return -1, tuple(map(_neg, w))
+    raise ValueError("zero weight")
 
 
 def parallel(u: Weight, v: Weight) -> bool:

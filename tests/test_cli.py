@@ -7,11 +7,12 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gkmkit import cli, cpn, genus, parse, serialize, transform, weights
+from gkmkit import all_entries, cli, cpn, genus, parse, serialize, transform, weights
 from gkmkit.cli import main
 
 from conftest import random_relabel, random_unimodular, shuffled
@@ -430,6 +431,68 @@ def _rank_one_doc(*points):
 HUGE_A, HUGE_B = 10 ** 3000 + 1, 10 ** 3000 + 3
 HUGE_CHERN_DOC = _rank_one_doc((HUGE_A, HUGE_B), (-HUGE_A, -HUGE_B))
 HUGE_SUM_DOC = _rank_one_doc((10 ** 4300 - 1, 10 ** 4300 - 1), (1, 2))
+
+
+class TestJsonOutput:
+    """``--json`` is printed by ``cli._dumps``, which must give the bytes of
+    ``json.dumps(doc, indent=2)``."""
+
+    ALPHABET = ("a", "Z", "0", " ", "/", '"', "\\", "\n", "\t", "\x00", "\x1f",
+                "\x7f", "\xe9", "\u2211", "\u2028", "\U0001f600", "<", "&")
+
+    def leaf(self, rng):
+        kind = rng.randrange(8)
+        if kind == 0:
+            return "".join(rng.choice(self.ALPHABET) for _ in range(rng.randint(0, 6)))
+        if kind == 1:
+            return rng.choice((1, -1)) * rng.randrange(2 ** 64, 2 ** 200)
+        if kind == 2:
+            return rng.randint(-3, 3)
+        if kind == 3:
+            return rng.choice((True, False, None))
+        if kind == 4:
+            return rng.choice(([], {}, ()))
+        if kind == 5:  # a printable digit count, a str subclass
+            return weights.printable(rng.choice((1, -1)) * 10 ** rng.randint(4300, 4600) + 7)
+        return rng.choice(("p0", "c1^2", "", "pass", "no-match"))
+
+    def doc(self, rng, depth=0):
+        kind = rng.random()
+        if depth >= 4 or kind < 0.4:
+            return self.leaf(rng)
+        children = [self.doc(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        if kind < 0.6:
+            return tuple(children)
+        if kind < 0.8:
+            return children
+        return {"".join(rng.choice(self.ALPHABET) for _ in range(rng.randint(0, 4))): c
+                for c in children}
+
+    def test_formatter_equals_json_dumps(self):
+        rng = random.Random(20261022)
+        seen = set()
+        for _ in range(400):
+            doc = self.doc(rng)
+            assert cli._dumps(doc) == json.dumps(doc, indent=2), doc
+            seen.add(type(doc).__name__)
+        assert seen >= {"dict", "list", "tuple", "str", "int", "bool", "NoneType"}, seen
+
+    def test_refuses_what_json_refuses(self):
+        for bad in (1.5, {"a": Fraction(1, 3)}, [object()]):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                cli._dumps(bad)
+
+    def test_catalog_outputs_are_json_dumps_indent_2(self, capsys, tmp_path):
+        path = str(tmp_path / "entry.json")
+        docs = [serialize(e.data, e.graph) for e in all_entries()]
+        for text in docs + [HUGE_CHERN_DOC]:
+            with open(path, "w") as fh:
+                fh.write(text)
+            for argv in (["chern", path], ["chern", path, "--mode", "expanded"],
+                         ["genus", path], ["petrie", path, "--up-to-gl"],
+                         ["validate", path]):
+                _, out, _ = run(capsys, *argv, "--json")
+                assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 class TestHugeIntegers:

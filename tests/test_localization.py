@@ -30,7 +30,7 @@ from gkmkit import (
     transform,
 )
 from gkmkit import localization, weights
-from gkmkit.weights import poly_const, poly_const_value, poly_is_const
+from gkmkit.weights import neg, poly_const, poly_const_value, poly_is_const
 
 from conftest import blow_up, random_unimodular
 
@@ -127,6 +127,23 @@ class TestPartitions:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partitions(-1)
+
+    def test_equals_recursive_generator_in_order(self):
+        def recursive(rest, cap):
+            if rest == 0:
+                yield ()
+                return
+            for first in range(min(rest, cap), 0, -1):
+                for tail in recursive(rest - first, first):
+                    yield (first,) + tail
+
+        for m in range(21):
+            assert partitions(m) == tuple(recursive(m, m)), m
+
+    def test_partition_numbers(self):
+        counts = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
+                  231, 297, 385, 490, 627)
+        assert tuple(len(partitions(m)) for m in range(21)) == counts
 
 
 class TestIntegrate:
@@ -284,6 +301,84 @@ class TestModeAgreement:
             seen["certified"] += localization._certified(data)
             seen["refused"] += len(exp.failures)
         assert seen["certified"] > 250 and seen["refused"] > 250, seen
+
+
+def certificate_oracle(data: FixedPointData) -> bool:
+    """The certificate spelled out: half_dim weights at every point,
+    ``check_gkm`` and a describing graph built without error."""
+    try:
+        return (all(len(p.weights) == data.half_dim for p in data.points)
+                and check_gkm(data).passed and build_multigraph(data) is not None)
+    except ValueError:  # MatchingError included
+        return False
+
+
+class TestCertificate:
+    """``_certified`` checks residue buckets only, and takes pairwise
+    independence from the lattice-basis check of torus-manifold data."""
+
+    @staticmethod
+    def repeat_an_id(rng, data: FixedPointData) -> FixedPointData:
+        pts = list(data.points)
+        i, j = rng.sample(range(len(pts)), 2)
+        pts[i] = FixedPoint(pts[j].id, pts[i].weights)
+        return FixedPointData(data.torus_rank, data.half_dim, tuple(pts),
+                              data.torus_manifold)
+
+    def test_equals_graph_certificate(self):
+        rng = random.Random(20261020)
+        datasets = [random_small_data(rng, (1, 2, 3)) for _ in range(1500)]
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            space = cpn(n, random_unimodular(rng, n))
+            for _ in range(rng.randint(1, 3)):
+                space = blow_up(space, rng.choice(space.data.ids()))
+            datasets.append(space.data)
+        datasets += [self.repeat_an_id(rng, d) for d in datasets[::10]
+                     if len(d.points) > 1]
+        seen = Counter()
+        for data in datasets:
+            want = certificate_oracle(data)
+            assert localization._certified(data) == want, data
+            seen["certified"] += want
+            seen["repeated id"] += len(set(data.ids())) < len(data.points)
+        assert seen["certified"] > 300 and seen["repeated id"] > 100, seen
+
+    @staticmethod
+    def parallel_pairs(rng) -> FixedPointData:
+        """Flagged mirrored pairs p_i, q_i whose weights are +-1 or +-2 times
+        one primitive vector each: not GKM, yet every residue bucket
+        balances, because a mod b = -a mod b for b in {1, 2}."""
+        n, pts = rng.randint(2, 3), []
+        for i in range(rng.randint(1, 2)):
+            v = (rng.randint(1, 3),) + tuple(rng.randint(-3, 3) for _ in range(n - 1))
+            ws = tuple(tuple(c * a for a in v)
+                       for c in (rng.choice((1, 2, -1, -2)) for _ in range(n)))
+            pts += [FixedPoint(f"p{i}", ws), FixedPoint(f"q{i}", tuple(map(neg, ws)))]
+        return FixedPointData(n, n, tuple(pts), True)
+
+    def test_torus_manifold_without_bases_runs_check_gkm(self):
+        # flagged data built in code has not been through parse's basis
+        # check: points that are not bases must still pass check_gkm, also
+        # when a describing graph exists
+        rng = random.Random(20261021)
+        datasets = [self.parallel_pairs(rng) for _ in range(100)]
+        for _ in range(3000):
+            data = random_small_data(rng, (1, 2, 3))
+            if data.torus_rank == data.half_dim:
+                datasets.append(FixedPointData(data.torus_rank, data.half_dim,
+                                               data.points, True))
+        seen = Counter()
+        for data in datasets:
+            assert localization._certified(data) == certificate_oracle(data), data
+            if data._non_basis_point is None:
+                seen["bases"] += 1
+            elif not check_gkm(data).passed:
+                try:
+                    seen["not gkm, graph exists"] += build_multigraph(data) is not None
+                except ValueError:
+                    pass
+        assert seen["bases"] > 20 and seen["not gkm, graph exists"] > 50, seen
 
 
 class TestInvariance:
