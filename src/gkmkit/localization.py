@@ -211,14 +211,12 @@ class _Table:
 
 
 def _certified(data: FixedPointData) -> bool:
-    """Every point has half_dim pairwise independent weights (as a lattice
-    basis has, which flagged torus-manifold data is checked for) and every
+    """Every point has half_dim pairwise independent weights and every
     residue bucket balances, so a describing graph exists: then every
     Chern-class sum is a constant."""
     try:
         return (all(len(p.weights) == data.half_dim for p in data.points)
-                and ((data.torus_manifold and data._non_basis_point is None)
-                     or check_gkm(data).passed)
+                and check_gkm(data).passed
                 and all(len(a) == len(b) for _, a, b in _residue_buckets(data)))
     except ValueError:  # a repeated id or a pairing violation
         return False
