@@ -95,12 +95,17 @@ def _print_report(report: ValidationReport, as_json: bool) -> None:
             print(f"  witness: {printable(w)}")
 
 
+# a DOT quoted ID escapes backslash and double quote, and nothing else
+_DOT_ID = str.maketrans({"\\": "\\\\", '"': '\\"'})
+
+
 def _dot(graph: Multigraph) -> str:
     lines = ["digraph fixed_point_graph {"]
     for v in sorted(graph.vertex_ids):
-        lines.append(f'  "{v}";')
+        lines.append(f'  "{v.translate(_DOT_ID)}";')
     for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label)):
-        lines.append(f'  "{e.from_id}" -> "{e.to_id}" [label="{_fmt_weight(e.label)}"];')
+        lines.append(f'  "{e.from_id.translate(_DOT_ID)}" -> "{e.to_id.translate(_DOT_ID)}" '
+                     f'[label="{_fmt_weight(e.label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -35,17 +35,10 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
-from .model import (
-    FixedPointData,
-    ValidationReport,
-    _residue_buckets,
-    _single,
-    check_gkm,
-)
+from .model import FixedPointData, ValidationReport, _single, _WeightIndex
 from .weights import (
     SparsePoly,
     Weight,
-    canonicalize,
     elem_sym_all,
     elem_sym_scalars,
     frac_sum,
@@ -210,14 +203,14 @@ class _Table:
         return self.ratio(sum(chain[-1][1]))
 
 
-def _certified(data: FixedPointData) -> bool:
+def _certified(index: _WeightIndex) -> bool:
     """Every point has half_dim pairwise independent weights and every
     residue bucket balances, so a describing graph exists: then every
     Chern-class sum is a constant."""
     try:
-        return (all(len(p.weights) == data.half_dim for p in data.points)
-                and check_gkm(data).passed
-                and all(len(a) == len(b) for _, a, b in _residue_buckets(data)))
+        return (all(len(row) == index.data.half_dim for row in index.rows)
+                and index.gkm().passed
+                and all(len(a) == len(b) for _, a, b in index.buckets()))
     except ValueError:  # a repeated id or a pairing violation
         return False
 
@@ -230,23 +223,24 @@ def _table(data: FixedPointData, upto: int, mode: str,
     if mode not in ("generic", "expanded"):
         raise ValueError(f"unknown mode {mode!r}")
     k = data.torus_rank
-    # before canonicalize, so that a zero weight meets the schedule's error
-    rho = next(generic_points(set(data.all_weights()), k)) if mode == "generic" else None
-    index: Dict[Tuple[Weight, int], int] = {}  # (form, copy at a point) -> factor of D
+    index = _WeightIndex(data, rows_only=mode == "expanded")
+    if index.zero:
+        raise ValueError("zero weight")
+    for rep in index.reps:
+        if len(rep) != k:  # the symbolic point would drop or miss entries
+            raise ValueError(f"dimension mismatch: {len(rep)} vs {k}")
+    factor: Dict[Tuple[int, int], int] = {}  # (class, copy at a point) -> factor of D
     rows = []
-    for p in data.points:
+    for row in index.rows:
         sign, den, seen = 1, [], {}
-        for w in p.weights:
-            if len(w) != k:  # the symbolic point would drop or miss entries
-                raise ValueError(f"dimension mismatch: {len(w)} vs {k}")
-            s, rep = canonicalize(w)
+        for s, c in row:
             sign *= s
-            seen[rep] = copy = seen.get(rep, -1) + 1
-            den.append((s, index.setdefault((rep, copy), len(index))))
+            seen[c] = copy = seen.get(c, -1) + 1
+            den.append((s, factor.setdefault((c, copy), len(factor))))
         rows.append((sign, den))
-    forms = [rep for rep, _ in index]
-    if rho is not None and _certified(data):
-        return _Table(forms, rows, upto, rho)
+    forms = [index.reps[c] for c, _ in factor]
+    if mode == "generic" and _certified(index):
+        return _Table(forms, rows, upto, next(generic_points(index.reps, k)))
     base = 1 + len(forms) + max(upto if degree is None else degree, 0)
     symbolic = [_Packed({base ** i: 1}) for i in range(k)]
     return _Table(forms, rows, upto, symbolic, _Packed({0: 1}))

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import gcd
+from operator import lshift
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .weights import (
@@ -308,8 +309,19 @@ def residue_mod(u: Weight, w: Weight) -> Weight:
     return tuple(a - c * b for a, b in zip(u, w))
 
 
-class _PackedResidues:
-    """``residue_mod`` for the weights at the points of one dataset, as ints.
+class _WeightIndex:
+    """The weight classes {w, -w} of one dataset, found once per public call.
+
+    ``classes`` maps each weight and edge label, and its negation, to its
+    sign and class id, canonicalizing once per class (a zero weight: sign
+    0, no class, and ``zero`` set); ``rows`` lists per point, in data
+    order, those of its weights; ``reps`` holds per class the representative
+    (positive leading entry).  Unless ``rows_only``, for a table that reads
+    no more: ``order`` sorts the classes by representative; ``points`` pairs
+    each point with its row in id order; per class ``carriers`` holds the
+    ids at +w and at -w in id order, ``direction`` the id of rep / gcd(rep)
+    and ``packed`` its packed int; ``at`` maps each id (first point wins)
+    to its weights and their packed ints.
 
     A vector v packs to P(v) = sum v_i 2^(s i).  Packing is linear, so the
     residue of u mod w packs to P(u) - c P(w) with c as in ``residue_mod``.
@@ -320,40 +332,140 @@ class _PackedResidues:
     packed ints are.
     """
 
-    def __init__(self, data: FixedPointData, labels: Iterable[Weight] = ()):
-        m = max(map(abs, chain.from_iterable(chain(data.all_weights(), labels))),
-                default=0)
+    def __init__(self, data: FixedPointData, labels: Iterable[Weight] = (),
+                 rows_only: bool = False):
+        self.data, self.zero = data, False
+        self.classes, self.reps = classes, reps = {}, []
+        self.rows = [[classes.get(w) or self._add(w) for w in p.weights] for p in data.points]
+        for w in labels:
+            classes.get(w) or self._add(w)
+        if rows_only:
+            return
+        self.order = sorted(range(len(reps)), key=reps.__getitem__)
+        self.points = sorted(zip(data.points, self.rows), key=lambda pr: pr[0].id)
+        self.carriers = [([], []) for _ in reps]
+        for p, row in self.points:
+            for s, c in row:
+                if s:
+                    self.carriers[c][s < 0].append(p.id)
+        lines: Dict[Weight, int] = {}
+        self.direction = [lines.setdefault(rep if (g := gcd(*rep)) == 1 else
+                                           tuple(a // g for a in rep), len(lines)) for rep in reps]
+        m = max(map(abs, chain.from_iterable(reps)), default=0)
         self.width = (m + m * m).bit_length() + 1
-        # first point wins on a repeated id, as in ``point``
-        self.packed = {pid: (p.weights, [self.pack(u) for u in p.weights])
-                       for pid, p in data._by_id.items()}
+        self.packed = packed = [self.pack(rep) for rep in reps]
+        self.at = {p.id: (p.weights, [s * packed[c] if s else 0 for s, c in row])
+                   for p, row in reversed(self.points)}
+
+    def _add(self, w: Weight) -> Tuple[int, int | None]:
+        try:
+            s, rep = canonicalize(w)
+        except ValueError:  # a zero weight
+            self.zero, self.classes[w] = True, (0, None)
+            return self.classes[w]
+        c = len(self.reps)  # a new class: each class enters with both signs
+        self.reps.append(rep)
+        self.classes[rep], self.classes[w if s < 0 else neg(w)] = (1, c), (-1, c)
+        return self.classes[w]
 
     def pack(self, v: Weight) -> int:
-        p = 0
-        for a in reversed(v):
-            p = (p << self.width) + a
-        return p
+        return sum(map(lshift, v, range(0, self.width * len(v), self.width)))
 
-    def residues(self, label: Weight, pids: Iterable[str],
-                 packed: int | None = None) -> Dict[str, list[int]]:
-        """Packed residues mod label of the weights at each point, in order;
-        u mod w is u mod -w, so the label's sign is dropped first.
-        ``packed`` is the label's packed int, if the caller has it."""
-        s, label = canonicalize(label)
-        j = pivot_index(label)
-        d, pw = label[j], self.pack(label) if packed is None else s * packed
-        return {pid: [pu - u[j] // d * pw for u, pu in zip(*self.packed[pid])]
+    def residues(self, c: int, pids: Iterable[str]) -> Dict[str, list[int]]:
+        """Packed residues mod class c of the weights at each point, in
+        order; u mod w is u mod -w, so one class serves both signs."""
+        rep, pw = self.reps[c], self.packed[c]
+        j = pivot_index(rep)
+        d = rep[j]
+        return {pid: [pu - u[j] // d * pw for u, pu in zip(*self.at[pid])]
                 for pid in pids}
 
+    def pairing(self) -> ValidationReport:
+        if self.zero:
+            raise ValueError("zero weight")
+        counts = [(self.reps[c], *map(len, self.carriers[c])) for c in self.order]
+        bad = [(rep, a, b) for rep, a, b in counts if a != b]
+        note = "; ".join(f"{rep}: {a} vs {b} negated" for rep, a, b in bad)
+        return _single("pairing", not bad, tuple(rep for rep, _, _ in bad), note=note)
 
-def _direction(w: Weight) -> Weight | None:
-    """The primitive vector along w with positive pivot; None for zero."""
-    g = gcd(*w)
-    if not g:
-        return None
-    if w[pivot_index(w)] < 0:
-        g = -g
-    return tuple(w) if g == 1 else tuple(a // g for a in w)
+    def gkm(self) -> ValidationReport:
+        witnesses = []
+        for p, row in self.points:
+            dirs = [self.direction[c] if s else None for s, c in row]
+            if len(set(dirs)) < len(dirs) or None in dirs:
+                witnesses.extend((p.id, u, v) for (u, a), (v, b)
+                                 in combinations(zip(p.weights, dirs), 2)
+                                 if a == b or a is None or b is None)
+        return _single("gkm", not witnesses, tuple(witnesses))
+
+    def edge_congruence(self, graph: Multigraph) -> ValidationReport:
+        witnesses, info = [], []
+        for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label)):
+            if e.from_id not in self.at or e.to_id not in self.at:
+                witnesses.append((e.from_id, e.to_id, e.label))
+                continue
+            res = self.residues(self.classes[e.label][1], (e.from_id, e.to_id))
+            left = sorted(zip(res[e.from_id], self.at[e.from_id][0]))
+            right = sorted(zip(res[e.to_id], self.at[e.to_id][0]))
+            if [r for r, _ in left] != [r for r, _ in right]:
+                witnesses.append((e.from_id, e.to_id, e.label))
+            else:
+                pairs = tuple(sorted((u, v) for (_, u), (_, v) in zip(left, right)))
+                info.append(((e.from_id, e.to_id, e.label), pairs))
+        return _single("edge_congruence", not witnesses, tuple(witnesses), tuple(info))
+
+    def describes(self, graph: Multigraph) -> ValidationReport:
+        witnesses = []
+        if set(graph.vertex_ids) != set(self.at):
+            witnesses.append(("vertex_set", tuple(sorted(graph.vertex_ids)),
+                              self.data.ids()))
+        else:
+            induced: Dict[str, list[Weight]] = {pid: [] for pid in graph.vertex_ids}
+            for e in graph.edges:
+                induced[e.from_id].append(e.label)
+                induced[e.to_id].append(neg(e.label))
+            for p, _ in self.points:
+                if sorted(induced[p.id]) != sorted(p.weights):
+                    witnesses.append((p.id, tuple(sorted(induced[p.id])),
+                                      tuple(sorted(p.weights))))
+        return combine_reports(_single("describes", not witnesses, tuple(witnesses)),
+                               self.edge_congruence(graph))
+
+    def buckets(self) -> Iterator[Tuple[Weight, list[str], list[str]]]:
+        """(class, ids at its +w, ids at its -w) per residue bucket, classes
+        in sorted order.  Within a class {w, -w}, w at p may pair with -w
+        at q exactly when the weight multisets at p and q have the same
+        sorted residues mod w.  Raises ValueError on a repeated point id,
+        a zero weight or a pairing violation, before the first bucket."""
+        for (a, _), (b, _) in zip(self.points, self.points[1:]):
+            if a.id == b.id:
+                raise ValueError(f"repeated point id {a.id!r}, "
+                                 f"no multigraph can describe the data")
+        pairing = self.pairing().results[0]
+        if not pairing.passed:
+            raise ValueError(f"pairing violation, no multigraph can describe the data: "
+                             f"{pairing.note}")
+        for c in self.order:
+            (left, right), rep = self.carriers[c], self.reps[c]
+            residues = self.residues(c, {*left, *right})
+            if len(left) == 1 and sorted(residues[left[0]]) == sorted(residues[right[0]]):
+                yield rep, left, right  # one pair: one comparison
+                continue
+            buckets: Dict[Tuple[int, ...], Tuple[list[str], list[str]]] = {}
+            for side, pids in enumerate((left, right)):
+                for pid in pids:
+                    buckets.setdefault(tuple(sorted(residues[pid])), ([], []))[side].append(pid)
+            for bucket in buckets.values():
+                yield (rep, *bucket)
+
+    def build(self) -> Multigraph:
+        edges: list[Edge] = []
+        for rep, left, right in self.buckets():
+            if len(left) != len(right):
+                raise MatchingError(rep, f"no congruent matching for weight class {rep}")
+            edges.extend(Edge(u, v, rep) for u, v in _pair_bucket(left, right))
+        edges.sort(key=lambda e: (e.from_id, e.to_id, e.label))
+        return Multigraph(self.data.ids(), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +474,7 @@ def _direction(w: Weight) -> Weight | None:
 
 def check_pairing(data: FixedPointData) -> ValidationReport:
     """Every weight must occur as often as its negative, globally."""
-    counts: Dict[Weight, list[int]] = {}
-    for w in data.all_weights():
-        s, rep = canonicalize(w)
-        counts.setdefault(rep, [0, 0])[0 if s > 0 else 1] += 1
-    witnesses = tuple(rep for rep in sorted(counts)
-                      if counts[rep][0] != counts[rep][1])
-    note = "; ".join(f"{rep}: {counts[rep][0]} vs {counts[rep][1]} negated"
-                     for rep in witnesses)
-    return _single("pairing", not witnesses, witnesses, note=note)
+    return _WeightIndex(data).pairing()
 
 
 def check_weight_sum_zero(data: FixedPointData) -> ValidationReport:
@@ -381,86 +485,34 @@ def check_weight_sum_zero(data: FixedPointData) -> ValidationReport:
 
 
 def check_gkm(data: FixedPointData) -> ValidationReport:
-    """Weights at each point must be pairwise linearly independent.
-
-    Two non-zero weights are parallel exactly when their primitive
-    directions (w / gcd(w), signed to a positive pivot) are equal, so a
-    point whose directions are all distinct is skipped; elsewhere every
-    parallel pair is a witness, in pair order.  A zero weight is parallel
-    to every weight.
-    """
-    witnesses = []
-    for p in sorted(data.points, key=lambda p: p.id):
-        dirs = [_direction(w) for w in p.weights]
-        if len(set(dirs)) < len(dirs) or None in dirs:
-            witnesses.extend((p.id, u, v) for (u, a), (v, b)
-                             in combinations(zip(p.weights, dirs), 2)
-                             if a == b or a is None or b is None)
-    return _single("gkm", not witnesses, tuple(witnesses))
+    """Weights at each point must be pairwise linearly independent: their
+    primitive directions (see ``_WeightIndex``) must differ.  Every
+    parallel pair is a witness, in pair order; a zero weight is parallel
+    to every weight."""
+    return _WeightIndex(data).gkm()
 
 
 def check_edge_congruence(data: FixedPointData,
                           graph: Multigraph) -> ValidationReport:
     """Endpoint weight multisets of each edge must biject congruently mod
-    its label, that is have equal sorted residues; info zips the two.
-
-    Residues are compared as packed ints (see ``_PackedResidues``), which
-    are equal exactly when the ``residue_mod`` tuples are.  An edge with an
-    endpoint the data lacks is a witness.
-    """
-    kernel = _PackedResidues(data, (e.label for e in graph.edges))
-    witnesses = []
-    info = []
-    for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label)):
-        if e.from_id not in data._by_id or e.to_id not in data._by_id:
-            witnesses.append((e.from_id, e.to_id, e.label))
-            continue
-        res = kernel.residues(e.label, (e.from_id, e.to_id))
-        left = sorted(zip(res[e.from_id], data.point(e.from_id).weights))
-        right = sorted(zip(res[e.to_id], data.point(e.to_id).weights))
-        if [r for r, _ in left] != [r for r, _ in right]:
-            witnesses.append((e.from_id, e.to_id, e.label))
-        else:
-            pairs = tuple(sorted((u, v) for (_, u), (_, v) in zip(left, right)))
-            info.append(((e.from_id, e.to_id, e.label), pairs))
-    return _single("edge_congruence", not witnesses, tuple(witnesses), tuple(info))
+    its label, that is have equal sorted residues (packed ints, see
+    ``_WeightIndex``); info zips the two.  An edge with an endpoint the
+    data lacks is a witness."""
+    return _WeightIndex(data, (e.label for e in graph.edges)).edge_congruence(graph)
 
 
 def check_describes(data: FixedPointData, graph: Multigraph) -> ValidationReport:
-    """Does the multigraph describe the data?
-
-    Per point, outgoing labels plus negated incoming labels must
-    reproduce the declared weight multiset; on top of that every edge
-    must pass the congruence check.
-    """
-    witnesses = []
-    if set(graph.vertex_ids) != set(p.id for p in data.points):
-        witnesses.append(("vertex_set", tuple(sorted(graph.vertex_ids)),
-                          data.ids()))
-    else:
-        induced: Dict[str, list[Weight]] = {pid: [] for pid in graph.vertex_ids}
-        for e in graph.edges:
-            induced[e.from_id].append(e.label)
-            induced[e.to_id].append(neg(e.label))
-        for p in sorted(data.points, key=lambda p: p.id):
-            if sorted(induced[p.id]) != sorted(p.weights):
-                witnesses.append((p.id, tuple(sorted(induced[p.id])),
-                                  tuple(sorted(p.weights))))
-    multiset = _single("describes", not witnesses, tuple(witnesses))
-    return combine_reports(multiset, check_edge_congruence(data, graph))
+    """Does the multigraph describe the data?  Per point, outgoing labels
+    plus negated incoming labels must reproduce the declared weight
+    multiset, and every edge must pass the congruence check."""
+    return _WeightIndex(data, (e.label for e in graph.edges)).describes(graph)
 
 
 def check_simple(graph: Multigraph) -> ValidationReport:
     """No self-loops and at most one edge per unordered vertex pair."""
-    witnesses = []
-    seen: Counter[Tuple[str, str]] = Counter()
-    for e in graph.edges:
-        if e.from_id == e.to_id:
-            witnesses.append(("self_loop", e.from_id, e.label))
-        seen[tuple(sorted((e.from_id, e.to_id)))] += 1
-    for pair in sorted(seen):
-        if seen[pair] > 1:
-            witnesses.append(("parallel", pair[0], pair[1], seen[pair]))
+    seen = Counter(tuple(sorted((e.from_id, e.to_id))) for e in graph.edges)
+    witnesses = [("self_loop", e.from_id, e.label) for e in graph.edges if e.from_id == e.to_id]
+    witnesses += [("parallel", *pair, k) for pair, k in sorted(seen.items()) if k > 1]
     return _single("simple", not witnesses, tuple(witnesses))
 
 
@@ -505,79 +557,35 @@ def _pair_bucket(left: Sequence[str], right: Sequence[str]) -> Iterator[Tuple[st
         heapq.heappush(heaviest, (-load[v], v))
 
 
-def _residue_buckets(data: FixedPointData) -> Iterator[Tuple[Weight, list[str], list[str]]]:
-    """(class, ids at its +w, ids at its -w) per residue bucket, classes in
-    sorted order.  Within a class {w, -w}, w at p may pair with -w at q
-    exactly when the weight multisets at p and q have the same sorted
-    residues mod w, compared as packed ints (see ``_PackedResidues``).
-    Raises ValueError on a repeated point id or a pairing violation,
-    before the first bucket."""
-    ids = data.ids()
-    for a, b in zip(ids, ids[1:]):
-        if a == b:
-            raise ValueError(f"repeated point id {a!r}, no multigraph can describe the data")
-    kernel = _PackedResidues(data)
-    plus: Dict[Weight, list[str]] = {}
-    minus: Dict[Weight, list[str]] = {}
-    packed: Dict[Weight, int] = {}  # class -> its packed representative
-    for pid in ids:
-        for w, pw in zip(*kernel.packed[pid]):
-            s, rep = canonicalize(w)
-            (plus if s > 0 else minus).setdefault(rep, []).append(pid)
-            packed[rep] = s * pw
-    if ({rep: len(v) for rep, v in plus.items()}
-            != {rep: len(v) for rep, v in minus.items()}):
-        raise ValueError(f"pairing violation, no multigraph can describe the data: "
-                         f"{check_pairing(data).results[0].note}")
-    for rep in sorted(plus):
-        left, right = plus[rep], minus[rep]
-        residues = kernel.residues(rep, {*left, *right}, packed[rep])
-        if len(left) == 1 and sorted(residues[left[0]]) == sorted(residues[right[0]]):
-            yield rep, left, right  # one pair: one comparison
-            continue
-        buckets: Dict[Tuple[int, ...], Tuple[list[str], list[str]]] = {}
-        for side, pids in enumerate((left, right)):
-            for pid in pids:
-                buckets.setdefault(tuple(sorted(residues[pid])), ([], []))[side].append(pid)
-        for bucket in buckets.values():
-            yield (rep, *bucket)
-
-
 def build_multigraph(data: FixedPointData) -> Multigraph:
     """Construct a describing multigraph from bare weight data.
 
-    A residue bucket (see ``_residue_buckets``) holding n occurrences of
-    each sign, L_x of w and R_x of -w at point x, pairs without self-loops
-    iff L_x + R_x <= n for every x (Hall's theorem); otherwise the one
-    point over the bound gets the forced L_x + R_x - n loops and no others
-    do.  Raises MatchingError naming the first weight class with an
-    unbalanced bucket, and ValueError as ``_residue_buckets`` does.
+    A residue bucket (see ``_WeightIndex.buckets``) holding n occurrences
+    of each sign, L_x of w and R_x of -w at point x, pairs without
+    self-loops iff L_x + R_x <= n for every x (Hall's theorem); otherwise
+    the one point over the bound gets the forced L_x + R_x - n loops and
+    no others do.  Raises MatchingError naming the first weight class with
+    an unbalanced bucket, and ValueError as the buckets do.
     """
-    edges: list[Edge] = []
-    for rep, left, right in _residue_buckets(data):
-        if len(left) != len(right):
-            raise MatchingError(rep, f"no congruent matching for weight class {rep}")
-        edges.extend(Edge(u, v, rep) for u, v in _pair_bucket(left, right))
-    edges.sort(key=lambda e: (e.from_id, e.to_id, e.label))
-    return Multigraph(data.ids(), tuple(edges))
+    return _WeightIndex(data).build()
 
 
 def validate_all(data: FixedPointData,
                  graph: Multigraph | None = None) -> ValidationReport:
     """Run every applicable check; try to build a graph when none is given."""
-    reports = [check_pairing(data), check_weight_sum_zero(data), check_gkm(data)]
+    index = _WeightIndex(data, () if graph is None else (e.label for e in graph.edges))
+    reports = [index.pairing(), check_weight_sum_zero(data), index.gkm()]
     if graph is not None:
-        reports.append(check_describes(data, graph))
-        reports.append(check_simple(graph))
+        reports += [index.describes(graph), check_simple(graph)]
     elif reports[0].passed:
         try:
-            built = build_multigraph(data)
+            built = index.build()
         except (ValueError, MatchingError) as exc:
             reports.append(_single("buildable", False, note=str(exc)))
         else:
-            loops = sum(1 for e in built.edges if e.from_id == e.to_id)
-            note = "built, not loop-free" if loops else "built, loop-free"
-            reports.append(_single("buildable", True, note=note))
+            loops = any(e.from_id == e.to_id for e in built.edges)
+            reports.append(_single("buildable", True, note="built, not loop-free" if loops
+                                   else "built, loop-free"))
     return combine_reports(*reports)
 
 

@@ -60,7 +60,7 @@ def sub(u: Weight, v: Weight) -> Weight:
 
 
 def neg(w: Weight) -> Weight:
-    return tuple(-a for a in w)
+    return tuple(map(_neg, w))
 
 
 def pivot_index(w: Weight) -> int:
@@ -246,10 +246,6 @@ def poly_add(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     return out
 
 
-def poly_neg(p: SparsePoly) -> SparsePoly:
-    return {e: -c for e, c in p.items()}
-
-
 def poly_mul(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     out: SparsePoly = {}
     for e1, c1 in p.items():
@@ -396,7 +392,7 @@ def fraction(numerator: SparsePoly, forms: Sequence[Weight]) -> FactoredFraction
         flip *= s
         den.append(rep)
     if flip < 0:
-        num = poly_neg(num)
+        num = {e: -c for e, c in num.items()}
     num, den_t = _cancel(num, den)
     return FactoredFraction(num, den_t)
 
@@ -413,10 +409,6 @@ def _cancel(num: SparsePoly, den: list[Weight]) -> tuple[SparsePoly, Tuple[Weigh
         else:
             num = q
     return num, tuple(sorted(kept))
-
-
-def frac_zero() -> FactoredFraction:
-    return FactoredFraction({}, ())
 
 
 def frac_add(f: FactoredFraction, g: FactoredFraction) -> FactoredFraction:
@@ -437,7 +429,7 @@ def frac_add(f: FactoredFraction, g: FactoredFraction) -> FactoredFraction:
 
 
 def frac_sum(terms: Iterable[FactoredFraction]) -> FactoredFraction:
-    total = frac_zero()
+    total = FactoredFraction({}, ())
     for t in terms:
         total = frac_add(total, t)
     return total

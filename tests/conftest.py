@@ -119,3 +119,27 @@ def blow_up(space, pid: str, ids: Sequence[str] | None = None) -> Space:
               for i in range(len(ws)) for j in range(i + 1, len(ws))]
     vertices = tuple(v for v in graph.vertex_ids if v != pid) + ids
     return Space(blown, Multigraph(vertices, tuple(edges)))
+
+
+def product(a, b) -> Space:
+    """The product of ``a`` and ``b`` (anything with ``data`` and ``graph``).
+
+    The point (p, q), named "p,q", carries W_p + 0 and 0 + W_q in the rank
+    a + b torus; half dimensions add, and the product is a torus manifold
+    when both factors are.  The graph is the Cartesian product: each edge
+    of a at every point of b, and each edge of b at every point of a.
+    """
+    da, db = a.data, b.data
+    za, zb = (0,) * da.torus_rank, (0,) * db.torus_rank
+    points = tuple(FixedPoint(f"{p.id},{q.id}", tuple(w + zb for w in p.weights)
+                              + tuple(za + w for w in q.weights))
+                   for p in da.points for q in db.points)
+    data = FixedPointData(da.torus_rank + db.torus_rank, da.half_dim + db.half_dim,
+                          points, da.torus_manifold and db.torus_manifold)
+    if a.graph is None or b.graph is None:
+        return Space(data, None)
+    edges = [Edge(f"{e.from_id},{q}", f"{e.to_id},{q}", e.label + zb)
+             for e in a.graph.edges for q in db.ids()]
+    edges += [Edge(f"{p},{e.from_id}", f"{p},{e.to_id}", za + e.label)
+              for p in da.ids() for e in b.graph.edges]
+    return Space(data, Multigraph(tuple(p.id for p in points), tuple(edges)))

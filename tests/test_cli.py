@@ -284,6 +284,35 @@ class TestGraph:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("points, message", [
+        # three classes out of balance, in class order
+        ([[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[-1, 0], [2, 1]]],
+         "pairing violation, no multigraph can describe the data: (0, 1): 2 vs 0 "
+         "negated; (1, 0): 2 vs 1 negated; (2, 1): 1 vs 0 negated"),
+        # pairing holds, but mod (0, 1) the weights at p and r disagree
+        ([[[1, 0], [0, 1]], [[-1, 0], [0, 3]], [[0, -1], [0, -3]]],
+         "no congruent matching for weight class (0, 1)"),
+    ], ids=["pairing", "bucket"])
+    def test_build_error_texts(self, capsys, tmp_path, points, message):
+        doc = {"torus_rank": 2, "half_dim": 2, "fixed_points": [
+            {"id": pid, "weights": ws} for pid, ws in zip("pqr", points)]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "graph", str(path), "--build") == (2, "", f"error: {message}\n")
+
+    def test_dot_escapes_quote_and_backslash(self, capsys, tmp_path):
+        doc = {"torus_rank": 1, "half_dim": 1, "fixed_points": [
+            {"id": 'a"b', "weights": [[1]]}, {"id": "c\\d", "weights": [[-1]]}]}
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "graph", str(path), "--format", "dot")
+        assert code == 0
+        assert out == ('digraph fixed_point_graph {\n'
+                       '  "a\\"b";\n'
+                       '  "c\\\\d";\n'
+                       '  "a\\"b" -> "c\\\\d" [label="1"];\n'
+                       '}\n')
+
     def test_out_file(self, capsys, cp2_file, tmp_path):
         target = tmp_path / "g.dot"
         code, out, _ = run(capsys, "graph", cp2_file, "--out", str(target))

@@ -29,10 +29,15 @@ from gkmkit import (
     s6_blowup,
     transform,
 )
-from gkmkit import localization, weights
+from gkmkit import localization, model, weights
 from gkmkit.weights import poly_const, poly_const_value, poly_is_const
 
 from conftest import blow_up, random_unimodular
+
+
+def certified(data: FixedPointData) -> bool:
+    """The localization certificate of the data, on a fresh weight index."""
+    return localization._certified(model._WeightIndex(data))
 
 
 def corrupted_cp2() -> FixedPointData:
@@ -290,7 +295,7 @@ class TestModeAgreement:
             space = cpn(n, random_unimodular(rng, n))
             for _ in range(rng.randint(1, 3)):
                 space = blow_up(space, rng.choice(space.data.ids()))
-            assert localization._certified(space.data), space.data
+            assert certified(space.data), space.data
             datasets.append(space.data)
         seen = Counter()
         for data in datasets:
@@ -298,7 +303,7 @@ class TestModeAgreement:
             assert gen == exp, data
             assert (check_lower_degree_vanishing(data)
                     == check_lower_degree_vanishing(data, "expanded")), data
-            seen["certified"] += localization._certified(data)
+            seen["certified"] += certified(data)
             seen["refused"] += len(exp.failures)
         assert seen["certified"] > 250 and seen["refused"] > 250, seen
 
@@ -338,7 +343,7 @@ class TestCertificate:
         seen = Counter()
         for data in datasets:
             want = certificate_oracle(data)
-            assert localization._certified(data) == want, data
+            assert certified(data) == want, data
             seen["certified"] += want
             seen["repeated id"] += len(set(data.ids())) < len(data.points)
         assert seen["certified"] > 300 and seen["repeated id"] > 100, seen
@@ -396,7 +401,7 @@ class TestCorruptedData:
 
     def test_repeated_id_is_not_certified(self):
         data = repeated_id()
-        assert not localization._certified(data)
+        assert not certified(data)
         generic, expanded = chern_report(data), chern_report(data, "expanded")
         assert [f[0] for f in generic.failures] == [(1, 1)]
         assert generic == expanded
@@ -407,7 +412,7 @@ class TestCorruptedData:
         # first generic point (1, 2) would read as -6
         data = short_points()
         assert check_gkm(data).passed and build_multigraph(data)
-        assert not localization._certified(data)
+        assert not certified(data)
         generic, expanded = chern_report(data), chern_report(data, "expanded")
         assert (1, 1, 1) in [f[0] for f in generic.failures]
         assert generic == expanded

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from gkmkit import model, weights
+from gkmkit import localization, model, weights
 from gkmkit.catalog import all_entries, cp3_nongkm, cpn, fano, s6
 from gkmkit.model import (
     Classification,
@@ -16,7 +16,7 @@ from gkmkit.model import (
     MatchingError,
     Multigraph,
     ParseError,
-    _PackedResidues,
+    _WeightIndex,
     _pair_bucket,
     build_multigraph,
     check_describes,
@@ -37,7 +37,7 @@ from gkmkit.model import (
 from gkmkit.matching import maximum_matching
 from gkmkit.weights import canonicalize, neg, parallel
 
-from conftest import random_unimodular
+from conftest import random_unimodular, shuffled
 
 CP2_DOC = """
 {
@@ -711,9 +711,9 @@ class TestPackedKernels:
         for _ in range(300):
             data, label = _kernel_data(rng)
             labels = [label, neg(label), *data.points[0].weights]
-            kernel = _PackedResidues(data, labels)
+            kernel = _WeightIndex(data, labels)
             for lab in labels:
-                res = kernel.residues(lab, [p.id for p in data.points])
+                res = kernel.residues(kernel.classes[lab][1], [p.id for p in data.points])
                 flat = [(r, residue_mod(u, lab))
                         for p in data.points for r, u in zip(res[p.id], p.weights)]
                 assert all(r == kernel.pack(t) for r, t in flat)
@@ -728,10 +728,10 @@ class TestPackedKernels:
         # the least that keeps these residues apart
         box = [w for w in product(range(-2, 3), repeat=3)]
         data = FixedPointData(3, len(box), (FixedPoint("p", tuple(box)),))
-        kernel = _PackedResidues(data)
+        kernel = _WeightIndex(data)
         for label in box:
             if any(label):
-                packed = kernel.residues(label, ["p"])["p"]
+                packed = kernel.residues(kernel.classes[label][1], ["p"])["p"]
                 tuples = [residue_mod(u, label) for u in box]
                 assert len(set(zip(packed, tuples))) == len(set(packed)) == len(set(tuples))
 
@@ -821,6 +821,27 @@ class TestPackedKernels:
         data = FixedPointData(1, 3, (FixedPoint("q", ((1,), (-2,), (3,))),))
         assert check_gkm(data).results[0].witnesses == (
             ("q", (1,), (-2,)), ("q", (1,), (3,)), ("q", (-2,), (3,)))
+
+    def test_one_canonicalize_per_distinct_weight_per_call(self, monkeypatch):
+        # each call builds one weight index, which canonicalizes a class
+        # {w, -w} the first time it meets either sign and never again
+        rng = random.Random(2110)
+        entry = cpn(8, random_unimodular(rng, 8))
+        data = shuffled(rng, entry.data)
+        distinct = set(data.all_weights())
+        calls = Counter()
+        for module in (model, localization):
+            original = getattr(module, "canonicalize", canonicalize)
+
+            def counted(w, _original=original):
+                calls[tuple(w)] += 1
+                return _original(w)
+            monkeypatch.setattr(module, "canonicalize", counted, raising=False)
+        for call in (lambda: validate_all(data), lambda: validate_all(data, entry.graph),
+                     lambda: localization.chern_report(data)):
+            calls.clear()
+            call()
+            assert set(calls) <= distinct and max(calls.values()) == 1, calls
 
     def test_graph_layer_calls_no_tuple_oracles(self, monkeypatch):
         calls = Counter()
