@@ -19,7 +19,6 @@ from . import catalog as cat
 from .genus import NonGenericCircleError, chi_y, positivity, symmetry
 from .localization import InconsistencyError, chern_number, chern_report, partitions
 from .model import (
-    MatchingError,
     Multigraph,
     ParseError,
     ValidationReport,
@@ -286,7 +285,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     if graph is None or args.build:
         try:
             graph = build_multigraph(data)
-        except (MatchingError, ValueError) as exc:
+        except ValueError as exc:
             raise _CliError(str(exc), EXIT_CHECK_FAILED)
         if any(e.from_id == e.to_id for e in graph.edges):
             print("warning: built graph is not loop-free", file=sys.stderr)

@@ -87,7 +87,8 @@ def index_d_minus(point: FixedPoint, xi: Sequence[int]) -> int:
 def chi_y(data: FixedPointData, xi: Sequence[int] | None = None) -> ChiYPolynomial:
     """Genus of the data; xi defaults to the deterministic generic circle."""
     if xi is None:
-        xi = next(generic_points(set(data.all_weights()), data.torus_rank))
+        forms = set(data.all_weights())  # without weights no point reads xi
+        xi = next(generic_points(forms, data.torus_rank)) if forms else ()
     else:
         xi = tuple(xi)
         if len(xi) != data.torus_rank:

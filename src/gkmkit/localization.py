@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .model import FixedPointData, ValidationReport, _single, _WeightIndex
 from .weights import (
@@ -204,26 +204,26 @@ class _Table:
 
 
 def _certified(index: _WeightIndex) -> bool:
-    """Every point has half_dim pairwise independent weights and every
-    residue bucket balances, so a describing graph exists: then every
-    Chern-class sum is a constant."""
+    """Every point has half_dim pairwise independent weights and the scan
+    of the residue buckets completes, so every bucket balances and a
+    describing graph exists: then every Chern-class sum is a constant."""
     try:
         return (all(len(row) == index.data.half_dim for row in index.rows)
                 and index.gkm().passed
-                and all(len(a) == len(b) for _, a, b in index.buckets()))
-    except ValueError:  # a repeated id or a pairing violation
+                and all(index.buckets()))  # each bucket is a non-empty tuple
+    except ValueError:  # a repeated id, a pairing violation or an unbalanced bucket
         return False
 
 
-def _table(data: FixedPointData, upto: int, mode: str,
-           degree: int | None = None) -> _Table:
-    """The table of the mode for classes up to degree upto: at one generic
-    point for certified data in generic mode, else at the symbolic point
-    for numerators of total degree ``degree`` (default upto)."""
+def _table(data: FixedPointData, upto: int, mode: str) -> _Table:
+    """The table of the mode for classes, or numerators, of degree up to
+    upto: at one generic point for certified data in generic mode, else at
+    the symbolic point.  Weightless data whose numerators are constants
+    reads no point, so none is chosen."""
     if mode not in ("generic", "expanded"):
         raise ValueError(f"unknown mode {mode!r}")
     k = data.torus_rank
-    index = _WeightIndex(data, rows_only=mode == "expanded")
+    index = _WeightIndex(data)
     if index.zero:
         raise ValueError("zero weight")
     for rep in index.reps:
@@ -240,9 +240,10 @@ def _table(data: FixedPointData, upto: int, mode: str,
         rows.append((sign, den))
     forms = [index.reps[c] for c, _ in factor]
     if mode == "generic" and _certified(index):
-        return _Table(forms, rows, upto, next(generic_points(index.reps, k)))
-    base = 1 + len(forms) + max(upto if degree is None else degree, 0)
-    symbolic = [_Packed({base ** i: 1}) for i in range(k)]
+        return _Table(forms, rows, upto, next(generic_points(index.reps, k)) if forms else ())
+    base = 1 + len(forms) + max(upto, 0)
+    # t is read by the forms and by integrate's numerators of positive degree
+    symbolic = [_Packed({base ** i: 1}) for i in range(k)] if forms or upto > 0 else ()
     return _Table(forms, rows, upto, symbolic, _Packed({0: 1}))
 
 
@@ -251,7 +252,7 @@ def integrate(data: FixedPointData, numerators: Mapping[str, SparsePoly]) -> Fra
     numerators carry no certificate, so the point is always symbolic."""
     _check_numerators(data, numerators)
     deg = max((poly_total_degree(q) for q in numerators.values()), default=0)
-    table = _table(data, 0, "expanded", deg)
+    table = _table(data, deg, "expanded")
     return table.integral(table.evaluate(numerators[p.id]) for p in data.points)
 
 
@@ -279,21 +280,13 @@ def chern_numerators(data: FixedPointData,
     return out
 
 
-def _chern_evaluator(data: FixedPointData, mode: str) -> Callable[[Partition], int]:
-    """Integer Chern number of a sorted partition of half_dim.
-
-    The table is built here, once for all partitions.
-    """
-    table = _table(data, data.half_dim, mode)
-
-    def number(part: Partition) -> int:
-        v = table.product(part)
-        if v.denominator != 1:
-            raise InconsistencyError(
-                f"Chern number for {part} is not an integer: {printable(v)}")
-        return int(v)
-
-    return number
+def _chern(table: _Table, part: Partition) -> int:
+    """Integer Chern number of a sorted partition of half_dim."""
+    v = table.product(part)
+    if v.denominator != 1:
+        raise InconsistencyError(
+            f"Chern number for {part} is not an integer: {printable(v)}")
+    return int(v)
 
 
 def chern_number(data: FixedPointData, partition: Sequence[int],
@@ -303,7 +296,7 @@ def chern_number(data: FixedPointData, partition: Sequence[int],
     if any(x < 1 for x in part) or sum(part) != data.half_dim:
         raise ValueError(
             f"partition {tuple(partition)} does not sum to half_dim {data.half_dim}")
-    return _chern_evaluator(data, mode)(part)
+    return _chern(_table(data, data.half_dim, mode), part)
 
 
 @dataclass(frozen=True)
@@ -319,12 +312,12 @@ class ChernReport:
 
 def chern_report(data: FixedPointData, mode: str = "generic") -> ChernReport:
     """All Chern numbers of the data, with per-partition failure capture."""
-    number = _chern_evaluator(data, mode)
+    table = _table(data, data.half_dim, mode)  # once for all partitions
     values: Dict[Partition, int] = {}
     failures = []
     for part in partitions(data.half_dim):
         try:
-            values[part] = number(part)
+            values[part] = _chern(table, part)
         except InconsistencyError as exc:
             failures.append((part, str(exc)))
     return ChernReport(data.half_dim, values, tuple(failures))

@@ -316,12 +316,11 @@ class _WeightIndex:
     sign and class id, canonicalizing once per class (a zero weight: sign
     0, no class, and ``zero`` set); ``rows`` lists per point, in data
     order, those of its weights; ``reps`` holds per class the representative
-    (positive leading entry).  Unless ``rows_only``, for a table that reads
-    no more: ``order`` sorts the classes by representative; ``points`` pairs
-    each point with its row in id order; per class ``carriers`` holds the
-    ids at +w and at -w in id order, ``direction`` the id of rep / gcd(rep)
-    and ``packed`` its packed int; ``at`` maps each id (first point wins)
-    to its weights and their packed ints.
+    (positive leading entry); ``order`` sorts the classes by representative;
+    ``points`` pairs each point with its row in id order; per class
+    ``carriers`` holds the ids at +w and at -w in id order, ``direction``
+    the id of rep / gcd(rep) and ``packed`` its packed int; ``at`` maps each
+    id (first point wins) to its weights and their packed ints.
 
     A vector v packs to P(v) = sum v_i 2^(s i).  Packing is linear, so the
     residue of u mod w packs to P(u) - c P(w) with c as in ``residue_mod``.
@@ -332,15 +331,12 @@ class _WeightIndex:
     packed ints are.
     """
 
-    def __init__(self, data: FixedPointData, labels: Iterable[Weight] = (),
-                 rows_only: bool = False):
+    def __init__(self, data: FixedPointData, labels: Iterable[Weight] = ()):
         self.data, self.zero = data, False
         self.classes, self.reps = classes, reps = {}, []
         self.rows = [[classes.get(w) or self._add(w) for w in p.weights] for p in data.points]
         for w in labels:
             classes.get(w) or self._add(w)
-        if rows_only:
-            return
         self.order = sorted(range(len(reps)), key=reps.__getitem__)
         self.points = sorted(zip(data.points, self.rows), key=lambda pr: pr[0].id)
         self.carriers = [([], []) for _ in reps]
@@ -381,12 +377,15 @@ class _WeightIndex:
                 for pid in pids}
 
     def pairing(self) -> ValidationReport:
-        if self.zero:
-            raise ValueError("zero weight")
+        """Per class the counts of +w and -w; a zero weight, which has no
+        negative to pair with, fails first with the zero vector."""
         counts = [(self.reps[c], *map(len, self.carriers[c])) for c in self.order]
-        bad = [(rep, a, b) for rep, a, b in counts if a != b]
-        note = "; ".join(f"{rep}: {a} vs {b} negated" for rep, a, b in bad)
-        return _single("pairing", not bad, tuple(rep for rep, _, _ in bad), note=note)
+        bad = [(rep, f"{rep}: {a} vs {b} negated") for rep, a, b in counts if a != b]
+        if self.zero:
+            zeros = [p.id for p, row in self.points if (0, None) in row]
+            bad.insert(0, ((0,) * self.data.torus_rank, f"zero weight at {', '.join(zeros)}"))
+        return _single("pairing", not bad, tuple(w for w, _ in bad),
+                       note="; ".join(note for _, note in bad))
 
     def gkm(self) -> ValidationReport:
         witnesses = []
@@ -435,8 +434,11 @@ class _WeightIndex:
         """(class, ids at its +w, ids at its -w) per residue bucket, classes
         in sorted order.  Within a class {w, -w}, w at p may pair with -w
         at q exactly when the weight multisets at p and q have the same
-        sorted residues mod w.  Raises ValueError on a repeated point id,
-        a zero weight or a pairing violation, before the first bucket."""
+        sorted residues mod w, so a describing multigraph exists exactly
+        when every bucket holds as many +w as -w.  Raises ValueError on a
+        repeated point id or a pairing violation (a zero weight is one)
+        before the first bucket, and MatchingError at the first unbalanced
+        bucket."""
         for (a, _), (b, _) in zip(self.points, self.points[1:]):
             if a.id == b.id:
                 raise ValueError(f"repeated point id {a.id!r}, "
@@ -455,14 +457,14 @@ class _WeightIndex:
             for side, pids in enumerate((left, right)):
                 for pid in pids:
                     buckets.setdefault(tuple(sorted(residues[pid])), ([], []))[side].append(pid)
-            for bucket in buckets.values():
-                yield (rep, *bucket)
+            for plus, minus in buckets.values():
+                if len(plus) != len(minus):
+                    raise MatchingError(rep, f"no congruent matching for weight class {rep}")
+                yield rep, plus, minus
 
     def build(self) -> Multigraph:
         edges: list[Edge] = []
         for rep, left, right in self.buckets():
-            if len(left) != len(right):
-                raise MatchingError(rep, f"no congruent matching for weight class {rep}")
             edges.extend(Edge(u, v, rep) for u, v in _pair_bucket(left, right))
         edges.sort(key=lambda e: (e.from_id, e.to_id, e.label))
         return Multigraph(self.data.ids(), tuple(edges))
@@ -564,8 +566,8 @@ def build_multigraph(data: FixedPointData) -> Multigraph:
     of each sign, L_x of w and R_x of -w at point x, pairs without
     self-loops iff L_x + R_x <= n for every x (Hall's theorem); otherwise
     the one point over the bound gets the forced L_x + R_x - n loops and
-    no others do.  Raises MatchingError naming the first weight class with
-    an unbalanced bucket, and ValueError as the buckets do.
+    no others do.  Raises as the buckets do: MatchingError naming the first
+    weight class with an unbalanced bucket, ValueError before that.
     """
     return _WeightIndex(data).build()
 
@@ -580,7 +582,7 @@ def validate_all(data: FixedPointData,
     elif reports[0].passed:
         try:
             built = index.build()
-        except (ValueError, MatchingError) as exc:
+        except ValueError as exc:
             reports.append(_single("buildable", False, note=str(exc)))
         else:
             loops = any(e.from_id == e.to_id for e in built.edges)

@@ -184,6 +184,21 @@ class TestChern:
                                  "--partition", "1,1")
             assert (code, out, err) == (2, "", f"error: {message}\n"), mode
 
+    def test_weightless_data_of_huge_rank(self, capsys, tmp_path):
+        # without weights no circle or point is read, so rank 10^7 costs
+        # what rank 1 does and prints the same
+        outputs = []
+        for k in (1, 10 ** 7):
+            path = tmp_path / f"rank{k}.json"
+            path.write_text(json.dumps({"torus_rank": k, "half_dim": 0,
+                                        "fixed_points": [{"id": "p", "weights": []}]}))
+            outputs.append([run(capsys, *form) for form in (
+                ("genus", str(path)), ("chern", str(path)),
+                ("chern", str(path), "--mode", "expanded"))])
+        assert outputs[1] == outputs[0]
+        assert [code for code, _, _ in outputs[0]] == [0, 0, 0]
+        assert outputs[0][1] == (0, "1 = 1\n", "")
+
     def test_mode_help_names_modes_and_default(self, capsys):
         code, out, _ = run(capsys, "chern", "--help")
         assert code == 0

@@ -167,6 +167,13 @@ class TestIntegrate:
         nums = chern_numerators(data, (2,))
         assert integrate(data, nums) == 1
 
+    def test_weightless_data_still_reads_the_point(self):
+        # no weight form reads t, but the numerator t_1 does: t_1 / 1 is no constant
+        data = FixedPointData(3, 0, (FixedPoint("p", ()),))
+        with pytest.raises(InconsistencyError, match="not a constant"):
+            integrate(data, {"p": {(1, 0, 0): Fraction(1)}})
+        assert integrate(data, {"p": poly_const(3, 5)}) == 5
+
     def test_missing_numerator(self):
         data = cpn(2).data
         with pytest.raises(ValueError, match="missing"):

@@ -207,6 +207,21 @@ class TestBasicChecks:
         assert (1, 0) in rep.results[0].witnesses
         assert (0, 1) in rep.results[0].witnesses
 
+    def test_zero_weight_is_reported_not_raised(self):
+        # parse rejects a zero weight, but data built in code may carry one
+        data = FixedPointData(2, 3, (FixedPoint("z", ((1, 0), (0, 0), (0, 1))),))
+        pairing = check_pairing(data).results[0]
+        assert not pairing.passed
+        assert pairing.witnesses == ((0, 0), (0, 1), (1, 0))
+        assert pairing.note == "zero weight at z; (0, 1): 1 vs 0 negated; (1, 0): 1 vs 0 negated"
+        report = validate_all(data)
+        assert [r.check for r in report.results] == ["pairing", "weight_sum", "gkm"]
+        assert report.results[0] == pairing and not report.passed
+        with pytest.raises(ValueError, match="pairing violation.*zero weight at z"):
+            build_multigraph(data)
+        with pytest.raises(ValueError, match="^zero weight$"):
+            localization._table(data, 3, "generic")
+
     def test_pairing_counts_multiplicity(self):
         # two copies of w against one of -w is unbalanced
         data = FixedPointData(1, 3, (
@@ -828,7 +843,9 @@ class TestPackedKernels:
         rng = random.Random(2110)
         entry = cpn(8, random_unimodular(rng, 8))
         data = shuffled(rng, entry.data)
-        distinct = set(data.all_weights())
+        # the expanded table's cost grows fast with n, so it reads CP^4
+        small = shuffled(rng, cpn(4, random_unimodular(rng, 4)).data)
+        e1 = localization.chern_numerators(small, (1,))
         calls = Counter()
         for module in (model, localization):
             original = getattr(module, "canonicalize", canonicalize)
@@ -837,11 +854,18 @@ class TestPackedKernels:
                 calls[tuple(w)] += 1
                 return _original(w)
             monkeypatch.setattr(module, "canonicalize", counted, raising=False)
-        for call in (lambda: validate_all(data), lambda: validate_all(data, entry.graph),
-                     lambda: localization.chern_report(data)):
+        for subject, call in (
+                (data, lambda: validate_all(data)),
+                (data, lambda: validate_all(data, entry.graph)),
+                (data, lambda: localization.chern_report(data)),
+                (data, lambda: localization.check_lower_degree_vanishing(data)),
+                (small, lambda: localization.chern_report(small, "expanded")),
+                (small, lambda: localization.check_lower_degree_vanishing(small, "expanded")),
+                (small, lambda: localization.integrate(small, e1))):
             calls.clear()
             call()
-            assert set(calls) <= distinct and max(calls.values()) == 1, calls
+            assert set(calls) <= set(subject.all_weights()), calls
+            assert max(calls.values()) == 1, calls
 
     def test_graph_layer_calls_no_tuple_oracles(self, monkeypatch):
         calls = Counter()
