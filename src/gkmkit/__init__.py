@@ -11,27 +11,22 @@ from .catalog import CatalogEntry, all_entries, cp3_nongkm, cpn, fano, s6, s6_bl
 from .genus import (
     ChiYPolynomial,
     NonGenericCircleError,
-    check_positivity,
-    check_symmetry,
     chi_y,
     index_d_minus,
+    positivity,
+    symmetry,
 )
 from .localization import (
-    ChernComparison,
     ChernReport,
     InconsistencyError,
     chern_number,
-    chern_numerators,
     chern_report,
     check_lower_degree_vanishing,
-    compare_chern,
     integrate,
-    localize_sum,
     partitions,
 )
 from .model import (
     CheckResult,
-    Classification,
     Edge,
     FixedPoint,
     FixedPointData,
@@ -46,12 +41,9 @@ from .model import (
     check_pairing,
     check_simple,
     check_weight_sum_zero,
-    classify_few_fixed_points,
-    congruent_mod,
     load_path,
     parse,
     relabel,
-    residue_mod,
     serialize,
     transform,
     validate_all,
@@ -64,18 +56,12 @@ from .petrie import (
     triangle_identity,
 )
 from .weights import (
-    FactoredFraction,
-    NonGenericPointError,
     SparsePoly,
     Weight,
     canonicalize,
     dot,
-    frac_add,
-    frac_eval,
-    fraction,
     generic_points,
     is_unimodular_basis,
-    poly_div_linear,
     poly_eval,
 )
 

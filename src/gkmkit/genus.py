@@ -113,15 +113,3 @@ def positivity(coeffs: Sequence[int]) -> ValidationReport:
     note = "" if not witnesses else (
         "data unrealizable: some chi_y coefficient is not positive")
     return _single("chi_y_positivity", not witnesses, witnesses, note=note)
-
-
-def check_symmetry(data: FixedPointData) -> ValidationReport:
-    """Serre duality: chi_y(data) is palindromic."""
-    return symmetry(chi_y(data).coeffs)
-
-
-def check_positivity(data: FixedPointData) -> ValidationReport:
-    """Every chi_y coefficient is >= 1 for data flagged as a torus manifold."""
-    if not data.torus_manifold:
-        raise ValueError("positivity check applies to torus_manifold data only")
-    return positivity(chi_y(data).coeffs)

@@ -24,7 +24,10 @@ read in order share the products of their prefixes.
   data takes the expanded table, so the modes agree or both refuse.
 
 Chern numbers take elementary symmetric polynomials of the weight forms
-as numerators; the top one always equals the Euler count.
+as numerators; the top one always equals the Euler count.  Two datasets
+are compared by the ``values`` of their ``chern_report``.  The symbolic
+reference that both modes are tested against, a factored-fraction sum
+of per-point numerators, belongs to the test suite, not to this module.
 """
 
 from __future__ import annotations
@@ -39,13 +42,8 @@ from .model import FixedPointData, ValidationReport, _single, _WeightIndex
 from .weights import (
     SparsePoly,
     Weight,
-    elem_sym_all,
     elem_sym_scalars,
-    frac_sum,
-    fraction,
     generic_points,
-    poly_const,
-    poly_mul,
     poly_total_degree,
     printable,
 )
@@ -79,15 +77,6 @@ def _check_numerators(data: FixedPointData,
     missing = [p.id for p in data.points if p.id not in numerators]
     if missing:
         raise ValueError(f"numerator missing for points: {missing}")
-
-
-def localize_sum(data: FixedPointData,
-                 numerators: Mapping[str, SparsePoly]):
-    """Full factored-fraction sum of numerator/product-of-weights terms."""
-    _check_numerators(data, numerators)
-    return frac_sum(
-        fraction(numerators[p.id], p.weights)
-        for p in sorted(data.points, key=lambda p: p.id))
 
 
 class _Packed(dict):
@@ -142,8 +131,6 @@ class _Table:
                  point: Sequence, one=1):
         at = [sum(map(operator.mul, rep, point)) for rep in forms]
         self.point = point
-        self.upto = upto
-        self.width = max((len(den) for _, den in rows), default=0)
         self.denominator = d = prod(at, start=one)
         if not isinstance(d, _Packed):  # D / den_p by exact division
             self.multipliers = [sign * (d // prod(at[i] for _, i in den)) for sign, den in rows]
@@ -184,16 +171,8 @@ class _Table:
         return self.ratio(sum(map(operator.mul, numerators, self.multipliers)))
 
     def product(self, partition: Partition) -> Fraction:
-        """The class prod e_{lambda_i} of a partition.
-
-        e_j vanishes at a point with fewer than j weights, so a part above
-        every point's weight count gives the zero class; a part above
-        ``upto`` but not above that count was not tabulated."""
-        top = max(partition, default=0)
-        if top > self.upto:
-            if top <= self.width:
-                raise ValueError(f"e_{top} is above the table's degree {self.upto}")
-            return Fraction(0)
+        """The class prod e_{lambda_i} of a partition with no part above
+        the table's degree ``upto``."""
         chain = self.chain
         while chain[-1][0] != partition[:len(chain) - 1]:
             chain.pop()
@@ -260,26 +239,6 @@ def integrate(data: FixedPointData, numerators: Mapping[str, SparsePoly]) -> Fra
 # Chern numbers
 
 
-def chern_numerators(data: FixedPointData,
-                     partition: Partition) -> Dict[str, SparsePoly]:
-    """Per-point product of elementary symmetric classes for the partition.
-
-    This is the symbolic reference: no mode evaluates it, and the tests
-    compare the expanded table against ``localize_sum`` of its output.
-    """
-    k = data.torus_rank
-    upto = max(partition) if partition else 0
-    out: Dict[str, SparsePoly] = {}
-    for p in data.points:
-        elems = elem_sym_all(p.weights, min(upto, len(p.weights)), k)
-        num = poly_const(k, 1)
-        for part in partition:
-            # e_j vanishes above the point's weight count
-            num = poly_mul(num, elems[part]) if part < len(elems) else {}
-        out[p.id] = num
-    return out
-
-
 def _chern(table: _Table, part: Partition) -> int:
     """Integer Chern number of a sorted partition of half_dim."""
     v = table.product(part)
@@ -339,29 +298,3 @@ def check_lower_degree_vanishing(data: FixedPointData,
             if value != 0:
                 witnesses.append((part, str(printable(value))))
     return _single("lower_degree_vanishing", not witnesses, tuple(witnesses))
-
-
-@dataclass(frozen=True)
-class ChernComparison:
-    half_dim: int
-    rows: Dict[Partition, Tuple[int | None, int | None]]
-
-    @property
-    def all_equal(self) -> bool:
-        return all(a is not None and a == b for a, b in self.rows.values())
-
-
-def compare_chern(data: FixedPointData, other: FixedPointData,
-                  mode: str = "generic") -> ChernComparison:
-    """Partition-by-partition Chern comparison of two datasets of equal half_dim.
-
-    All rows equal means the two are indistinguishable by Chern numbers
-    (equivariantly cobordant data always is).
-    """
-    if data.half_dim != other.half_dim:
-        raise ValueError(
-            f"half dimensions differ: {data.half_dim} vs {other.half_dim}")
-    a, b = chern_report(data, mode), chern_report(other, mode)
-    return ChernComparison(data.half_dim, {
-        part: (a.values.get(part), b.values.get(part))
-        for part in partitions(data.half_dim)})

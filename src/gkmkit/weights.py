@@ -3,9 +3,16 @@
 A weight is a tuple of ``k`` integers, read as the linear form
 ``w[0]*t_1 + ... + w[k-1]*t_k`` on a rank-``k`` torus.  On top of weights
 this module provides sparse multivariate polynomials with rational
-coefficients, and rational functions kept in factored form: a polynomial
-numerator over a multiset of linear forms.  Fixed-point localization sums
-have exactly that shape, one term per fixed point.
+coefficients, elementary symmetric functions of weights, and rational
+functions kept in factored form: a polynomial numerator over a multiset
+of linear forms.  Fixed-point localization sums have exactly that shape,
+one term per fixed point.
+
+Localization reads a table of integers or packed polynomials instead.
+``FactoredFraction``, ``frac_add``, ``poly_div_linear``, ``poly_mul`` and
+``elem_sym_all`` (with what they call) stay here because the benchmark's
+per-layer tracer wraps them; the rest of the symbolic oracle lives with
+the tests.
 
 Representation conventions:
 
@@ -31,15 +38,6 @@ Exponent = Tuple[int, ...]
 SparsePoly = Dict[Exponent, Fraction]
 
 Scalar = Fraction | int
-
-
-class NonGenericPointError(ValueError):
-    """An evaluation point annihilates one of the linear forms."""
-
-    def __init__(self, form: Weight, point: Sequence[Scalar]):
-        self.form = tuple(form)
-        self.point = tuple(point)
-        super().__init__(f"form {self.form} vanishes at {self.point}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +273,6 @@ def poly_total_degree(p: SparsePoly) -> int:
     return max((sum(e) for e in p), default=-1)
 
 
-def poly_is_const(p: SparsePoly) -> bool:
-    return all(not any(e) for e in p)
-
-
-def poly_const_value(p: SparsePoly) -> Fraction:
-    if not p:
-        return Fraction(0)
-    if not poly_is_const(p):
-        raise ValueError("polynomial is not constant")
-    return next(iter(p.values()))
-
-
 def poly_div_linear(p: SparsePoly, w: Weight) -> SparsePoly | None:
     """Exact quotient of ``p`` by the linear form of ``w``, or None.
 
@@ -382,21 +368,6 @@ class FactoredFraction:
     __hash__ = None  # type: ignore[assignment]
 
 
-def fraction(numerator: SparsePoly, forms: Sequence[Weight]) -> FactoredFraction:
-    """Build a fraction: canonicalize factor signs, then cancel what divides."""
-    num = dict(numerator)
-    den: list[Weight] = []
-    flip = 1
-    for f in forms:
-        s, rep = canonicalize(tuple(f))
-        flip *= s
-        den.append(rep)
-    if flip < 0:
-        num = {e: -c for e, c in num.items()}
-    num, den_t = _cancel(num, den)
-    return FactoredFraction(num, den_t)
-
-
 def _cancel(num: SparsePoly, den: list[Weight]) -> tuple[SparsePoly, Tuple[Weight, ...]]:
     # one pass suffices: a factor that does not divide num cannot divide num / v
     if not num:
@@ -428,13 +399,6 @@ def frac_add(f: FactoredFraction, g: FactoredFraction) -> FactoredFraction:
     return FactoredFraction(num, den)
 
 
-def frac_sum(terms: Iterable[FactoredFraction]) -> FactoredFraction:
-    total = FactoredFraction({}, ())
-    for t in terms:
-        total = frac_add(total, t)
-    return total
-
-
 def frac_equal(f: FactoredFraction, g: FactoredFraction) -> bool:
     """Equality by cross-multiplication, independent of representation."""
     if f.is_zero() or g.is_zero():
@@ -443,14 +407,3 @@ def frac_equal(f: FactoredFraction, g: FactoredFraction) -> bool:
     lhs = poly_mul(f.numerator, forms_product(g.denominator, k))
     rhs = poly_mul(g.numerator, forms_product(f.denominator, k))
     return lhs == rhs
-
-
-def frac_eval(f: FactoredFraction, point: Sequence[Scalar]) -> Fraction:
-    """Evaluate at a point; every denominator factor must stay non-zero."""
-    den = Fraction(1)
-    for w in f.denominator:
-        v = sum(Fraction(x) * a for x, a in zip(point, w))
-        if v == 0:
-            raise NonGenericPointError(w, point)
-        den *= v
-    return poly_eval(f.numerator, point) / den

@@ -13,9 +13,7 @@ from gkmkit import (
     check_describes,
     check_lower_degree_vanishing,
     check_pairing,
-    check_positivity,
     check_simple,
-    check_symmetry,
     check_weight_sum_zero,
     chern_number,
     chern_report,
@@ -24,8 +22,10 @@ from gkmkit import (
     fano,
     partitions,
     petrie_verify,
+    positivity,
     s6,
     s6_blowup,
+    symmetry,
     transform,
 )
 from gkmkit.genus import NonGenericCircleError
@@ -178,7 +178,7 @@ def test_criterion_7_property_suites():
             assert coeffs == base, (entry.name, xi)
     # palindromic coefficients and point count
     for entry in all_entries():
-        assert check_symmetry(entry.data).passed, entry.name
+        assert symmetry(chi_y(entry.data).coeffs).passed, entry.name
         assert chi_y(entry.data).euler == len(entry.data.points), entry.name
     # basis-change invariance of Chern numbers
     for entry in (cpn(2), cpn(3), s6(), s6_blowup(), fano("V5")):
@@ -205,13 +205,13 @@ def test_criterion_8_positivity_coverage():
     flagged = [e for e in all_entries() if e.data.torus_manifold]
     assert flagged, "catalog must carry torus-manifold entries"
     for entry in flagged:
-        rep = check_positivity(entry.data)
+        rep = positivity(chi_y(entry.data).coeffs)
         assert rep.passed, entry.name
     # a synthetic violation must be reported as unrealizable, not as an error
     full = cpn(2).data
     points = tuple(p for p in full.points if p.id != "p2")
     dented = FixedPointData(2, 2, points, torus_manifold=True)
-    rep = check_positivity(dented)
+    rep = positivity(chi_y(dented).coeffs)
     assert not rep.passed
     res = rep.result("chi_y_positivity")
     assert res.witnesses == ((2, 0),)

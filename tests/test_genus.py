@@ -8,12 +8,12 @@ from gkmkit import (
     FixedPointData,
     NonGenericCircleError,
     all_entries,
-    check_positivity,
-    check_symmetry,
     chi_y,
     cpn,
     index_d_minus,
+    positivity,
     s6,
+    symmetry,
 )
 
 
@@ -147,12 +147,12 @@ class TestXiIndependence:
 class TestSymmetry:
     def test_catalog_passes(self):
         for entry in all_entries():
-            rep = check_symmetry(entry.data)
+            rep = symmetry(chi_y(entry.data).coeffs)
             assert rep.passed, entry.name
 
     def test_failure_carries_witnesses(self):
         data = FixedPointData(2, 2, (FixedPoint("p", ((1, 0), (0, 1))),))
-        rep = check_symmetry(data)
+        rep = symmetry(chi_y(data).coeffs)
         assert not rep.passed
         assert rep.result("chi_y_symmetry").witnesses == ((0, 1, 0), (2, 0, 1))
 
@@ -160,19 +160,15 @@ class TestSymmetry:
 class TestPositivity:
     def test_cpn_passes(self):
         for n in (1, 2, 3):
-            rep = check_positivity(cpn(n).data)
+            rep = positivity(chi_y(cpn(n).data).coeffs)
             assert rep.passed
             assert rep.result("chi_y_positivity").note == ""
-
-    def test_requires_torus_manifold_flag(self):
-        with pytest.raises(ValueError, match="torus_manifold"):
-            check_positivity(s6().data)
 
     def test_unrealizable_subset(self):
         full = cpn(2).data
         points = tuple(p for p in full.points if p.id != "p2")
         data = FixedPointData(2, 2, points, torus_manifold=True)
-        rep = check_positivity(data)
+        rep = positivity(chi_y(data).coeffs)
         assert not rep.passed
         res = rep.result("chi_y_positivity")
         assert res.witnesses == ((2, 0),)

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -9,7 +10,6 @@ import pytest
 from gkmkit import localization, model, weights
 from gkmkit.catalog import all_entries, cp3_nongkm, cpn, fano, s6
 from gkmkit.model import (
-    Classification,
     Edge,
     FixedPoint,
     FixedPointData,
@@ -25,7 +25,6 @@ from gkmkit.model import (
     check_pairing,
     check_simple,
     check_weight_sum_zero,
-    classify_few_fixed_points,
     congruent_mod,
     parse,
     relabel,
@@ -38,6 +37,7 @@ from gkmkit.matching import maximum_matching
 from gkmkit.weights import canonicalize, neg, parallel
 
 from conftest import random_unimodular, shuffled
+from oracle import chern_numerators
 
 CP2_DOC = """
 {
@@ -262,6 +262,21 @@ class TestBasicChecks:
         rep = check_weight_sum_zero(bad)
         assert not rep.passed
         assert rep.results[0].witnesses == ((2,),)
+
+    def test_weight_sum_of_weightless_data_costs_nothing_per_rank(self):
+        # with no weights nothing is summed and no witness is printed, so
+        # rank 10^7 costs and reports what rank 1 does
+        reports = []
+        for k in (1, 10 ** 7):
+            data = FixedPointData(k, 0, (FixedPoint("p", ()),))
+            tracemalloc.start()
+            try:
+                reports.append(check_weight_sum_zero(data))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (k, peak)
+        assert reports[0].passed and reports[1] == reports[0]
 
     def test_gkm(self):
         for n in range(1, 6):
@@ -590,51 +605,6 @@ class TestTransforms:
         assert FixedPointData(1, 1, (first, second)).point("p") is first
 
 
-class TestClassification:
-    def test_point(self):
-        data = FixedPointData(1, 0, (FixedPoint("p", ()),))
-        assert classify_few_fixed_points(data) == Classification("point")
-
-    def test_two_point_sphere(self):
-        data = FixedPointData(1, 1, (FixedPoint("p", ((3,),)),
-                                     FixedPoint("q", ((-3,),))))
-        assert classify_few_fixed_points(data) == Classification("sphere-dim2", (3,))
-
-    def test_dim6_pair(self):
-        data = FixedPointData(1, 3, (
-            FixedPoint("p", ((-3,), (1,), (2,))),
-            FixedPoint("q", ((-1,), (-2,), (3,))),
-        ))
-        assert classify_few_fixed_points(data) == Classification("dim6-pair", (1, 2))
-
-    def test_dim4_triple(self):
-        data = FixedPointData(1, 2, (
-            FixedPoint("p", ((3,), (1,))),
-            FixedPoint("q", ((-1,), (2,))),
-            FixedPoint("r", ((-2,), (-3,))),
-        ))
-        assert classify_few_fixed_points(data) == Classification("dim4-triple", (1, 2))
-
-    def test_nonconforming(self):
-        # three points in half dimension three fit no pattern
-        data = FixedPointData(1, 3, (
-            FixedPoint("p", ((1,), (2,), (3,))),
-            FixedPoint("q", ((-1,), (-2,), (3,))),
-            FixedPoint("r", ((-3,), (-3,), (3,))),
-        ))
-        assert classify_few_fixed_points(data).kind == "nonconforming"
-        two = FixedPointData(1, 1, (FixedPoint("p", ((2,),)),
-                                    FixedPoint("q", ((-3,),))))
-        assert classify_few_fixed_points(two).kind == "nonconforming"
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError, match="rank"):
-            classify_few_fixed_points(s6().data)
-        four = fano("V5").data
-        with pytest.raises(ValueError, match="points"):
-            classify_few_fixed_points(four)
-
-
 def _kernel_data(rng):
     """Random rank 1-4 data with entries within +-50 and a label to reduce by.
 
@@ -845,7 +815,7 @@ class TestPackedKernels:
         data = shuffled(rng, entry.data)
         # the expanded table's cost grows fast with n, so it reads CP^4
         small = shuffled(rng, cpn(4, random_unimodular(rng, 4)).data)
-        e1 = localization.chern_numerators(small, (1,))
+        e1 = chern_numerators(small, (1,))
         calls = Counter()
         for module in (model, localization):
             original = getattr(module, "canonicalize", canonicalize)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmkit.weights import (
-    NonGenericPointError,
     canonicalize,
     det,
     dot,
@@ -16,9 +15,6 @@ from gkmkit.weights import (
     elem_sym_scalars,
     frac_add,
     frac_equal,
-    frac_eval,
-    frac_sum,
-    fraction,
     generic_points,
     is_unimodular_basis,
     linear_form,
@@ -32,6 +28,7 @@ from gkmkit.weights import (
 )
 
 from conftest import random_unimodular
+from oracle import NonGenericPointError, frac_eval, frac_sum, fraction
 
 
 class TestVectorOps:
