@@ -62,7 +62,6 @@ from .weights import (
     dot,
     generic_points,
     is_unimodular_basis,
-    poly_eval,
 )
 
 __version__ = "0.1.0"

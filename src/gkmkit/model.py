@@ -465,13 +465,6 @@ class _WeightIndex:
                     raise MatchingError(rep, f"no congruent matching for weight class {rep}")
                 yield rep, plus, minus
 
-    def build(self) -> Multigraph:
-        edges: list[Edge] = []
-        for rep, left, right in self.buckets():
-            edges.extend(Edge(u, v, rep) for u, v in _pair_bucket(left, right))
-        edges.sort(key=lambda e: (e.from_id, e.to_id, e.label))
-        return Multigraph(self.data.ids(), tuple(edges))
-
 
 # ---------------------------------------------------------------------------
 # checks
@@ -570,25 +563,35 @@ def build_multigraph(data: FixedPointData) -> Multigraph:
     self-loops iff L_x + R_x <= n for every x (Hall's theorem); otherwise
     the one point over the bound gets the forced L_x + R_x - n loops and
     no others do.  Raises as the buckets do: MatchingError naming the first
-    weight class with an unbalanced bucket, ValueError before that.
+    weight class with an unbalanced bucket, ValueError before that.  This
+    is the only code that makes edges from the buckets; ``validate_all``
+    reads their pairs and builds nothing.
     """
-    return _WeightIndex(data).build()
+    edges = [Edge(u, v, rep) for rep, left, right in _WeightIndex(data).buckets()
+             for u, v in _pair_bucket(left, right)]
+    edges.sort(key=lambda e: (e.from_id, e.to_id, e.label))
+    return Multigraph(data.ids(), tuple(edges))
 
 
 def validate_all(data: FixedPointData,
                  graph: Multigraph | None = None) -> ValidationReport:
-    """Run every applicable check; try to build a graph when none is given."""
+    """Run every applicable check.  Without a graph, decide whether one can
+    be built, and whether loop-free, from the pairs ``_pair_bucket`` makes
+    in each residue bucket, the same pairs ``build_multigraph`` turns into
+    edges; no graph is built.  Every bucket is read, since a later one may
+    be unbalanced after an earlier one has forced a loop."""
     index = _WeightIndex(data, () if graph is None else (e.label for e in graph.edges))
     reports = [index.pairing(), check_weight_sum_zero(data), index.gkm()]
     if graph is not None:
         reports += [index.describes(graph), check_simple(graph)]
     elif reports[0].passed:
+        loops = False
         try:
-            built = index.build()
+            for _, left, right in index.buckets():
+                loops = loops or any(u == v for u, v in _pair_bucket(left, right))
         except ValueError as exc:
             reports.append(_single("buildable", False, note=str(exc)))
         else:
-            loops = any(e.from_id == e.to_id for e in built.edges)
             reports.append(_single("buildable", True, note="built, not loop-free" if loops
                                    else "built, loop-free"))
     return combine_reports(*reports)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul, neg as _neg
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
@@ -189,9 +190,13 @@ def printable(x):
 def generic_points(forms: Iterable[Weight], k: int | None = None) -> Iterator[Weight]:
     """Yield the deterministic schedule of points pairing non-zero with every form.
 
-    For rank >= 2 the candidates are (1, N, N^2, ...) for N = 2, 3, ...;
-    for rank 1 they are (1), (2), (3), ....  Only candidates with all
-    pairings non-zero are yielded.
+    For rank >= 2 the candidates are (1, N, N^2, ...) for N = 2, ..., k + 2
+    and then for N from max(k + 3, 2 + M) on, M the largest |entry| of the
+    forms; for rank 1 they are (1), (2), (3), ....  Only candidates with
+    all pairings non-zero are yielded.  A form pairs with (1, N, ...) to a
+    number whose signed base-N digits are its entries; once N > 1 + M the
+    top non-zero digit outweighs the rest (Cauchy's bound), so the first
+    candidate past the jump passes and at most k + 2 are tried.
     """
     forms = [tuple(f) for f in forms]
     if k is None:
@@ -207,6 +212,8 @@ def generic_points(forms: Iterable[Weight], k: int | None = None) -> Iterator[We
             raise ValueError("zero form admits no generic point")
     n_cand = 2
     while True:
+        if n_cand == k + 3 and k > 1:
+            n_cand = max(n_cand, 2 + max(map(abs, chain.from_iterable(forms)), default=0))
         xi = (n_cand - 1,) if k == 1 else tuple(n_cand ** i for i in range(k))
         if all(sum(map(mul, xi, f)) for f in forms):
             yield xi
@@ -255,17 +262,6 @@ def poly_mul(p: SparsePoly, q: SparsePoly) -> SparsePoly:
             else:
                 out.pop(e, None)
     return out
-
-
-def poly_eval(p: SparsePoly, point: Sequence[Scalar]) -> Fraction:
-    total = Fraction(0)
-    for e, c in p.items():
-        term = c
-        for x, d in zip(point, e):
-            if d:
-                term = term * Fraction(x) ** d
-        total += term
-    return total
 
 
 def poly_total_degree(p: SparsePoly) -> int:

@@ -24,7 +24,6 @@ from gkmkit.weights import (
     elem_sym_all,
     frac_add,
     poly_const,
-    poly_eval,
     poly_mul,
 )
 
@@ -48,6 +47,17 @@ def poly_const_value(p: SparsePoly) -> Fraction:
     if not poly_is_const(p):
         raise ValueError("polynomial is not constant")
     return next(iter(p.values()))
+
+
+def poly_eval(p: SparsePoly, point: Sequence[Scalar]) -> Fraction:
+    total = Fraction(0)
+    for e, c in p.items():
+        term = c
+        for x, d in zip(point, e):
+            if d:
+                term = term * Fraction(x) ** d
+        total += term
+    return total
 
 
 def fraction(numerator: SparsePoly, forms: Sequence[Weight]) -> FactoredFraction:

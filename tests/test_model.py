@@ -570,6 +570,37 @@ class TestValidateAll:
         with pytest.raises(ValueError, match="repeated point id 'p0'"):
             build_multigraph(data)
 
+    def test_unbalanced_bucket_after_a_forced_loop(self):
+        # class (1,) forces a loop at p0 first; class (3,) then has residues
+        # {0, 1} at p1 and {0, 2} at p2, an unbalanced bucket, so a scan that
+        # stopped at the first loop would call the data buildable
+        data = FixedPointData(1, 2, (
+            FixedPoint("p0", ((-1,), (1,))),
+            FixedPoint("p1", ((3,), (-2,))),
+            FixedPoint("p2", ((2,), (-3,))),
+            FixedPoint("p3", ((-2,), (2,))),
+        ))
+        rep = validate_all(data)
+        assert rep.result("pairing").passed
+        assert not rep.result("buildable").passed
+        assert rep.result("buildable").note == "no congruent matching for weight class (3,)"
+
+    def test_builds_no_graph(self, monkeypatch):
+        # validate reads the pairs of each bucket; only build_multigraph makes edges
+        rng = random.Random(2201)
+        data = shuffled(rng, cpn(8, random_unimodular(rng, 8)).data)
+        made = Counter()
+        for cls in (Edge, Multigraph):
+            def counted(*args, _cls=cls, **kwargs):
+                made[_cls.__name__] += 1
+                return _cls(*args, **kwargs)
+            monkeypatch.setattr(model, cls.__name__, counted)
+        assert validate_all(data).result("buildable").note == "built, loop-free"
+        assert not made
+        # the counters do count
+        build_multigraph(data)
+        assert made == {"Edge": 36, "Multigraph": 1}
+
 
 class TestTransforms:
     def test_transform_applies_matrix(self):

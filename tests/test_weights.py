@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkmkit import FixedPoint, FixedPointData, chern_report, chi_y, weights
 from gkmkit.weights import (
     canonicalize,
     det,
@@ -22,13 +23,12 @@ from gkmkit.weights import (
     poly_add,
     poly_const,
     poly_div_linear,
-    poly_eval,
     poly_mul,
     poly_total_degree,
 )
 
 from conftest import random_unimodular
-from oracle import NonGenericPointError, frac_eval, frac_sum, fraction
+from oracle import NonGenericPointError, frac_eval, frac_sum, fraction, poly_eval
 
 
 class TestVectorOps:
@@ -196,6 +196,30 @@ class TestGenericPoints:
             assert len(set(pts)) == 3
             for p in pts:
                 assert all(dot(p, f) != 0 for f in forms)
+
+    def test_pairings_bounded_on_a_killing_family(self, monkeypatch):
+        # a_N {(N, -1)} and b_N {(-N, 1)}, N = 2..m+1: (N, -1) kills (1, N),
+        # so the plain schedule walked to (1, m + 2) through about m^2
+        # pairings; past the jump it is a few passes over the F forms
+        m, k = 2000, 2
+        data = FixedPointData(k, 1, tuple(
+            FixedPoint(f"{name}{n}", ((sign * n, -sign),))
+            for n in range(2, m + 2) for name, sign in (("a", 1), ("b", -1))))
+        forms = data.all_weights()
+        products = 0
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return a * b
+        monkeypatch.setattr(weights, "mul", counted)
+        for call in (lambda: next(generic_points(forms)),
+                     lambda: chi_y(data), lambda: chern_report(data)):
+            products = 0
+            call()
+            assert 0 < products // k <= 2 * len(forms) * k
+        assert next(generic_points(forms)) == (1, m + 3)
+        assert chi_y(data).coeffs == (m, m)
 
 
 class TestPolynomials:
