@@ -187,7 +187,7 @@ def _certified(index: _WeightIndex) -> bool:
     of the residue buckets completes, so every bucket balances and a
     describing graph exists: then every Chern-class sum is a constant."""
     try:
-        return (all(len(row) == index.data.half_dim for row in index.rows)
+        return (all(len(row) == index.half_dim for row in index.rows)
                 and index.gkm().passed
                 and all(index.buckets()))  # each bucket is a non-empty tuple
     except ValueError:  # a repeated id, a pairing violation or an unbalanced bucket
@@ -202,7 +202,7 @@ def _table(data: FixedPointData, upto: int, mode: str) -> _Table:
     if mode not in ("generic", "expanded"):
         raise ValueError(f"unknown mode {mode!r}")
     k = data.torus_rank
-    index = _WeightIndex(data)
+    index = data._index
     if index.zero:
         raise ValueError("zero weight")
     for rep in index.reps:

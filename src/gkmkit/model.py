@@ -30,8 +30,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import gcd
-from operator import lshift
+from operator import attrgetter, lshift
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .weights import (
@@ -45,6 +46,12 @@ from .weights import (
 )
 
 TOP_LEVEL_KEYS = {"torus_rank", "half_dim", "torus_manifold", "fixed_points", "edges"}
+
+# half_dim from which one det certifies a whole component of torus-manifold
+# data (see ``_WeightIndex.non_basis_point``).  Below it a det per point costs
+# less than building the weight index, for the commands that read no index
+# (genus, petrie); measured on disguised CP^2..CP^12, a 2-vCPU x86-64 VM.
+_CERTIFY_FROM = 10
 
 
 class ParseError(ValueError):
@@ -88,9 +95,24 @@ class FixedPointData:
         return {p.id: p for p in reversed(self.points)}
 
     @cached_property
+    def _index(self) -> _WeightIndex:
+        """The weight classes of the data, found once for every check,
+        the build, the lattice certificate and the localization table."""
+        return _WeightIndex(self)
+
+    @cached_property
     def _non_basis_point(self) -> FixedPoint | None:
-        """The first point whose weights are not a lattice basis, if any;
-        ``parse`` and the Petrie precondition both read it."""
+        """The first point, in data order, whose weights are not a lattice
+        basis, if any; ``parse`` and the Petrie precondition both read it.
+        From half_dim ``_CERTIFY_FROM`` on, ``_WeightIndex.non_basis_point``
+        certifies whole components with one ``det``; below it, and on data
+        with a repeated id, a zero weight or a point not holding half_dim
+        weights of length half_dim, every point takes its own ``det``."""
+        n = self.half_dim
+        if n >= _CERTIFY_FROM and len(self._by_id) == len(self.points):
+            index = self._index
+            if not index.zero and {n} == set(map(len, index.reps)) | set(map(len, index.rows)):
+                return index.non_basis_point(self.points)
         return next((p for p in self.points if not is_unimodular_basis(p.weights)),
                     None)
 
@@ -107,6 +129,9 @@ class Edge:
     def __post_init__(self) -> None:
         if not any(self.label):
             raise ValueError("zero edge label")
+
+
+_EDGE_ORDER = attrgetter("from_id", "to_id", "label")  # how edges are listed
 
 
 @dataclass(frozen=True)
@@ -165,7 +190,7 @@ def _expect_int(value: object, what: str) -> int:
 
 
 def _parse_vector(value: object, k: int, what: str) -> Weight:
-    if type(value) is list and len(value) == k and all(type(a) is int for a in value):
+    if type(value) is list and len(value) == k and {int} >= set(map(type, value)):
         return tuple(value)
     if not isinstance(value, list) or len(value) != k:
         raise ParseError(f"{what} must be a list of {k} integers, got {value!r}")
@@ -218,10 +243,13 @@ def parse(raw: bytes | str) -> Tuple[FixedPointData, Multigraph | None]:
         ws = entry["weights"]
         if not isinstance(ws, list) or len(ws) != n:
             raise ParseError(f"point {pid} must carry exactly {n} weights")
-        weights = tuple(_parse_vector(w, k, f"weight of {pid}") for w in ws)
-        for w in weights:
-            if not any(w):
-                raise ParseError(f"zero weight at point {pid}")
+        if ({list} >= set(map(type, ws)) and {k} >= set(map(len, ws))
+                and {int} >= set(map(type, chain.from_iterable(ws)))):
+            weights = tuple(map(tuple, ws))
+        else:  # _parse_vector words the error of the first bad vector
+            weights = tuple(_parse_vector(w, k, f"weight of {pid}") for w in ws)
+        if not all(map(any, weights)):
+            raise ParseError(f"zero weight at point {pid}")
         points.append(FixedPoint(pid, weights))
 
     if tm and k != n:
@@ -258,8 +286,14 @@ def load_path(path: str) -> Tuple[FixedPointData, Multigraph | None]:
         return parse(fh.read())
 
 
-def _vec_json(w: Sequence[int]) -> str:
-    return "[" + ",".join(str(a) for a in w) + "]"
+if c_make_encoder is None:  # an interpreter without json's C accelerator
+    _compact = json.JSONEncoder(separators=(",", ":")).encode
+else:
+    def _compact(o, _encode=c_make_encoder(None, None, encode_basestring_ascii, None,
+                                           ":", ",", False, False, True)) -> str:
+        """``json.dumps(o, separators=(",", ":"))`` on a vector or a list
+        of vectors, in one call of the C encoder."""
+        return "".join(_encode(o, 0))
 
 
 def serialize(data: FixedPointData, graph: Multigraph | None = None) -> str:
@@ -268,18 +302,16 @@ def serialize(data: FixedPointData, graph: Multigraph | None = None) -> str:
     lines.append(f'  "torus_rank": {data.torus_rank},')
     lines.append(f'  "half_dim": {data.half_dim},')
     lines.append(f'  "torus_manifold": {"true" if data.torus_manifold else "false"},')
-    pts = []
-    for p in sorted(data.points, key=lambda p: p.id):
-        ws = ",".join(_vec_json(w) for w in sorted(p.weights))
-        pts.append(f'    {{"id": {json.dumps(p.id)}, "weights": [{ws}]}}')
+    pts = [f'    {{"id": {encode_basestring_ascii(p.id)}, "weights": {_compact(sorted(p.weights))}}}'
+           for p in sorted(data.points, key=attrgetter("id"))]
     lines.append('  "fixed_points": [')
     lines.append(",\n".join(pts))
     if graph is not None:
         lines.append("  ],")
         lines.append('  "edges": [')
-        es = [f'    {{"from": {json.dumps(e.from_id)}, '
-              f'"to": {json.dumps(e.to_id)}, "label": {_vec_json(e.label)}}}'
-              for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label))]
+        es = [f'    {{"from": {encode_basestring_ascii(e.from_id)}, '
+              f'"to": {encode_basestring_ascii(e.to_id)}, "label": {_compact(e.label)}}}'
+              for e in sorted(graph.edges, key=_EDGE_ORDER)]
         lines.append(",\n".join(es))
     lines.append("  ]")
     lines.append("}")
@@ -313,7 +345,9 @@ def residue_mod(u: Weight, w: Weight) -> Weight:
 
 
 class _WeightIndex:
-    """The weight classes {w, -w} of one dataset, found once per public call.
+    """The weight classes {w, -w} of one dataset, found once per dataset
+    (``FixedPointData._index``), or once per call for a graph whose edge
+    labels are not all weight classes.
 
     ``classes`` maps each weight and edge label, and its negation, to its
     sign and class id, canonicalizing once per class (a zero weight: sign
@@ -321,9 +355,13 @@ class _WeightIndex:
     order, those of its weights; ``reps`` holds per class the representative
     (positive leading entry); ``order`` sorts the classes by representative;
     ``points`` pairs each point with its row in id order; per class
-    ``carriers`` holds the ids at +w and at -w in id order, ``direction``
-    the id of rep / gcd(rep) and ``packed`` its packed int; ``at`` maps each
-    id (first point wins) to its weights and their packed ints.
+    ``carriers`` holds the ids at +w and at -w in id order and ``packed``
+    the packed int of rep; ``at`` maps each id (first point wins) to its
+    weights and their packed ints; ``splits`` keeps the residue buckets of
+    each class once ``split`` has found them.  Nothing else changes after
+    construction, so every check on one dataset can share one index.  It
+    keeps the data's ``rank`` and ``half_dim`` but no reference to the
+    data, which keeps it (``FixedPointData._index``) without a cycle.
 
     A vector v packs to P(v) = sum v_i 2^(s i).  Packing is linear, so the
     residue of u mod w packs to P(u) - c P(w) with c as in ``residue_mod``.
@@ -335,7 +373,7 @@ class _WeightIndex:
     """
 
     def __init__(self, data: FixedPointData, labels: Iterable[Weight] = ()):
-        self.data, self.zero = data, False
+        self.rank, self.half_dim, self.zero = data.torus_rank, data.half_dim, False
         self.classes, self.reps = classes, reps = {}, []
         self.rows = [[classes.get(w) or self._add(w) for w in p.weights] for p in data.points]
         for w in labels:
@@ -347,14 +385,12 @@ class _WeightIndex:
             for s, c in row:
                 if s:
                     self.carriers[c][s < 0].append(p.id)
-        lines: Dict[Weight, int] = {}
-        self.direction = [lines.setdefault(rep if (g := gcd(*rep)) == 1 else
-                                           tuple(a // g for a in rep), len(lines)) for rep in reps]
         m = max(map(abs, chain.from_iterable(reps)), default=0)
         self.width = (m + m * m).bit_length() + 1
         self.packed = packed = [self.pack(rep) for rep in reps]
         self.at = {p.id: (p.weights, [s * packed[c] if s else 0 for s, c in row])
                    for p, row in reversed(self.points)}
+        self.splits: Dict[int, list[Tuple[list[str], list[str]]]] = {}
 
     def _add(self, w: Weight) -> Tuple[int, int | None]:
         try:
@@ -386,14 +422,20 @@ class _WeightIndex:
         bad = [(rep, f"{rep}: {a} vs {b} negated") for rep, a, b in counts if a != b]
         if self.zero:
             zeros = [p.id for p, row in self.points if (0, None) in row]
-            bad.insert(0, ((0,) * self.data.torus_rank, f"zero weight at {', '.join(zeros)}"))
+            bad.insert(0, ((0,) * self.rank, f"zero weight at {', '.join(zeros)}"))
         return _single("pairing", not bad, tuple(w for w, _ in bad),
                        note="; ".join(note for _, note in bad))
 
     def gkm(self) -> ValidationReport:
+        """Per point the primitive directions rep / gcd(rep) of its
+        weights, as ids; a zero weight has none."""
+        lines: Dict[Weight, int] = {}
+        direction = [lines.setdefault(rep if (g := gcd(*rep)) == 1 else
+                                      tuple(a // g for a in rep), len(lines))
+                     for rep in self.reps]
         witnesses = []
         for p, row in self.points:
-            dirs = [self.direction[c] if s else None for s, c in row]
+            dirs = [direction[c] if s else None for s, c in row]
             if len(set(dirs)) < len(dirs) or None in dirs:
                 witnesses.extend((p.id, u, v) for (u, a), (v, b)
                                  in combinations(zip(p.weights, dirs), 2)
@@ -401,26 +443,47 @@ class _WeightIndex:
         return _single("gkm", not witnesses, tuple(witnesses))
 
     def edge_congruence(self, graph: Multigraph) -> ValidationReport:
+        """The weights at each tail are sorted once.  Where the residues at
+        the head are distinct, each tail weight finds its partner by
+        residue, so the pairs come out sorted; otherwise the two sides'
+        sorted (residue, weight) lists are zipped."""
         witnesses, info = [], []
-        for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label)):
+        tails: Dict[str, Tuple[list[Weight], list[int]]] = {}
+        for e in sorted(graph.edges, key=_EDGE_ORDER):
+            edge = (e.from_id, e.to_id, e.label)
             if e.from_id not in self.at or e.to_id not in self.at:
-                witnesses.append((e.from_id, e.to_id, e.label))
+                witnesses.append(edge)
                 continue
-            res = self.residues(self.classes[e.label][1], (e.from_id, e.to_id))
-            left = sorted(zip(res[e.from_id], self.at[e.from_id][0]))
-            right = sorted(zip(res[e.to_id], self.at[e.to_id][0]))
-            if [r for r, _ in left] != [r for r, _ in right]:
-                witnesses.append((e.from_id, e.to_id, e.label))
+            if e.from_id not in tails:
+                ws, packed = self.at[e.from_id]
+                order = sorted(range(len(ws)), key=ws.__getitem__)
+                tails[e.from_id] = [ws[i] for i in order], [packed[i] for i in order]
+            (wu, pu), (wv, pv) = tails[e.from_id], self.at[e.to_id]
+            c = self.classes[e.label][1]
+            rep, pw = self.reps[c], self.packed[c]
+            j = pivot_index(rep)
+            d = rep[j]
+            ru = [p - u[j] // d * pw for u, p in zip(wu, pu)]
+            rv = [p - v[j] // d * pw for v, p in zip(wv, pv)]
+            partner = dict(zip(rv, wv))
+            if len(partner) == len(rv):
+                passed = len(ru) == len(rv) and partner.keys() == set(ru)
+                pairs = tuple(zip(wu, map(partner.__getitem__, ru))) if passed else ()
             else:
+                left, right = sorted(zip(ru, wu)), sorted(zip(rv, wv))
+                passed = [r for r, _ in left] == [r for r, _ in right]
                 pairs = tuple(sorted((u, v) for (_, u), (_, v) in zip(left, right)))
-                info.append(((e.from_id, e.to_id, e.label), pairs))
+            if passed:
+                info.append((edge, pairs))
+            else:
+                witnesses.append(edge)
         return _single("edge_congruence", not witnesses, tuple(witnesses), tuple(info))
 
     def describes(self, graph: Multigraph) -> ValidationReport:
         witnesses = []
         if set(graph.vertex_ids) != set(self.at):
             witnesses.append(("vertex_set", tuple(sorted(graph.vertex_ids)),
-                              self.data.ids()))
+                              tuple(p.id for p, _ in self.points)))
         else:
             induced: Dict[str, list[Weight]] = {pid: [] for pid in graph.vertex_ids}
             for e in graph.edges:
@@ -432,6 +495,24 @@ class _WeightIndex:
                                       tuple(sorted(p.weights))))
         return combine_reports(_single("describes", not witnesses, tuple(witnesses)),
                                self.edge_congruence(graph))
+
+    def split(self, c: int) -> Sequence[Tuple[list[str], list[str]]]:
+        """(ids at +w, ids at -w) per residue bucket of class c: the
+        carriers whose weights have the same sorted residues mod w.  Each
+        class is split once per index."""
+        if c in self.splits:
+            return self.splits[c]
+        left, right = self.carriers[c]
+        residues = self.residues(c, {*left, *right})
+        if len(left) == len(right) == 1 and sorted(residues[left[0]]) == sorted(residues[right[0]]):
+            self.splits[c] = [(left, right)]  # one pair: one comparison
+            return self.splits[c]
+        buckets: Dict[Tuple[int, ...], Tuple[list[str], list[str]]] = {}
+        for side, pids in enumerate((left, right)):
+            for pid in pids:
+                buckets.setdefault(tuple(sorted(residues[pid])), ([], []))[side].append(pid)
+        self.splits[c] = list(buckets.values())
+        return self.splits[c]
 
     def buckets(self) -> Iterator[Tuple[Weight, list[str], list[str]]]:
         """(class, ids at its +w, ids at its -w) per residue bucket, classes
@@ -451,28 +532,64 @@ class _WeightIndex:
             raise ValueError(f"pairing violation, no multigraph can describe the data: "
                              f"{pairing.note}")
         for c in self.order:
-            (left, right), rep = self.carriers[c], self.reps[c]
-            residues = self.residues(c, {*left, *right})
-            if len(left) == 1 and sorted(residues[left[0]]) == sorted(residues[right[0]]):
-                yield rep, left, right  # one pair: one comparison
-                continue
-            buckets: Dict[Tuple[int, ...], Tuple[list[str], list[str]]] = {}
-            for side, pids in enumerate((left, right)):
-                for pid in pids:
-                    buckets.setdefault(tuple(sorted(residues[pid])), ([], []))[side].append(pid)
-            for plus, minus in buckets.values():
+            for plus, minus in self.split(c):
                 if len(plus) != len(minus):
+                    rep = self.reps[c]
                     raise MatchingError(rep, f"no congruent matching for weight class {rep}")
-                yield rep, plus, minus
+                yield self.reps[c], plus, minus
+
+    def non_basis_point(self, points: Sequence[FixedPoint]) -> FixedPoint | None:
+        """The first of the data's points (in data order, as ``rows``)
+        whose n weights of length n are not a lattice basis; for data with
+        distinct ids and no zero weight.
+
+        A basis certifies its residue buckets.  Let the weights at p be a
+        basis and q share p's bucket of class {w, -w}.  Then w is the only
+        weight at p that is 0 mod w, so the weights at q are +-w and the
+        others at p each moved by a multiple of w, and their determinant
+        is +- that at p.  Points are read in data order: the first one not
+        yet certified takes a ``det``, and if it is a basis every point
+        reachable from it through shared buckets is certified.  Each class
+        is split into buckets at most once, and the walk ends once every
+        point is certified."""
+        rows = {p.id: row for p, row in zip(points, self.rows)}
+        members: Dict[int, Dict[str, list[str]]] = {}  # per class: id -> its bucket
+        certified: set[str] = set()
+        for p in points:
+            if p.id in certified:
+                continue
+            if not is_unimodular_basis(p.weights):
+                return p
+            certified.add(p.id)
+            todo = [p.id]
+            while todo and len(certified) < len(rows):
+                pid = todo.pop()
+                for _, c in rows[pid]:
+                    if c not in members:
+                        members[c] = {q: bucket for plus, minus in self.split(c)
+                                      for bucket in [plus + minus] for q in bucket}
+                    fresh = [q for q in members[c][pid] if q not in certified]
+                    certified.update(fresh)
+                    todo += fresh
+        return None
 
 
 # ---------------------------------------------------------------------------
 # checks
 
 
+def _graph_index(data: FixedPointData, graph: Multigraph) -> _WeightIndex:
+    """The data's index, or its own one with the graph's labels when a
+    label is not a weight class of the data."""
+    index = data._index
+    if all(e.label in index.classes for e in graph.edges):
+        return index
+    return _WeightIndex(data, (e.label for e in graph.edges))
+
+
 def check_pairing(data: FixedPointData) -> ValidationReport:
     """Every weight must occur as often as its negative, globally."""
-    return _WeightIndex(data).pairing()
+    return data._index.pairing()
 
 
 def check_weight_sum_zero(data: FixedPointData) -> ValidationReport:
@@ -487,7 +604,7 @@ def check_gkm(data: FixedPointData) -> ValidationReport:
     primitive directions (see ``_WeightIndex``) must differ.  Every
     parallel pair is a witness, in pair order; a zero weight is parallel
     to every weight."""
-    return _WeightIndex(data).gkm()
+    return data._index.gkm()
 
 
 def check_edge_congruence(data: FixedPointData,
@@ -496,14 +613,14 @@ def check_edge_congruence(data: FixedPointData,
     its label, that is have equal sorted residues (packed ints, see
     ``_WeightIndex``); info zips the two.  An edge with an endpoint the
     data lacks is a witness."""
-    return _WeightIndex(data, (e.label for e in graph.edges)).edge_congruence(graph)
+    return _graph_index(data, graph).edge_congruence(graph)
 
 
 def check_describes(data: FixedPointData, graph: Multigraph) -> ValidationReport:
     """Does the multigraph describe the data?  Per point, outgoing labels
     plus negated incoming labels must reproduce the declared weight
     multiset, and every edge must pass the congruence check."""
-    return _WeightIndex(data, (e.label for e in graph.edges)).describes(graph)
+    return _graph_index(data, graph).describes(graph)
 
 
 def check_simple(graph: Multigraph) -> ValidationReport:
@@ -567,9 +684,9 @@ def build_multigraph(data: FixedPointData) -> Multigraph:
     is the only code that makes edges from the buckets; ``validate_all``
     reads their pairs and builds nothing.
     """
-    edges = [Edge(u, v, rep) for rep, left, right in _WeightIndex(data).buckets()
+    edges = [Edge(u, v, rep) for rep, left, right in data._index.buckets()
              for u, v in _pair_bucket(left, right)]
-    edges.sort(key=lambda e: (e.from_id, e.to_id, e.label))
+    edges.sort(key=_EDGE_ORDER)
     return Multigraph(data.ids(), tuple(edges))
 
 
@@ -580,7 +697,7 @@ def validate_all(data: FixedPointData,
     in each residue bucket, the same pairs ``build_multigraph`` turns into
     edges; no graph is built.  Every bucket is read, since a later one may
     be unbalanced after an earlier one has forced a loop."""
-    index = _WeightIndex(data, () if graph is None else (e.label for e in graph.edges))
+    index = data._index if graph is None else _graph_index(data, graph)
     reports = [index.pairing(), check_weight_sum_zero(data), index.gkm()]
     if graph is not None:
         reports += [index.describes(graph), check_simple(graph)]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gkmkit import all_entries, cli, cpn, genus, parse, serialize, transform, weights
+from gkmkit import all_entries, cli, cpn, genus, model, parse, serialize, transform, weights
 from gkmkit.cli import main
 
 from conftest import random_relabel, random_unimodular, shuffled
@@ -249,19 +249,23 @@ class TestPetrie:
 
 
     def test_one_lattice_check_per_point(self, capsys, tmp_path, monkeypatch):
-        # parse checks the lattice bases once, and the precondition reads that
+        # parse checks the lattice bases once, and the precondition reads
+        # that: below the crossover every point takes one det, from it on one
+        # det certifies the whole (connected) CP^n
         rng = random.Random(2100)
-        n = 6
-        moved = transform(cpn(n).data, random_unimodular(rng, n))
-        data = shuffled(rng, random_relabel(rng, moved, prefix="d")[0])
-        path = tmp_path / "disguised.json"
-        path.write_text(serialize(data))
         calls = []
         det = weights.det
         monkeypatch.setattr(weights, "det", lambda rows: calls.append(rows) or det(rows))
-        code, out, _ = run(capsys, "petrie", str(path), "--json")
-        assert code == 0 and json.loads(out)["verdict"] == "match"
-        assert len(calls) == n + 1
+        cut = model._CERTIFY_FROM
+        for n in (cut - 1, cut, cut + 2):
+            moved = transform(cpn(n).data, random_unimodular(rng, n))
+            data = shuffled(rng, random_relabel(rng, moved, prefix="d")[0])
+            path = tmp_path / f"disguised{n}.json"
+            path.write_text(serialize(data))
+            calls.clear()
+            code, out, _ = run(capsys, "petrie", str(path), "--json")
+            assert code == 0 and json.loads(out)["verdict"] == "match"
+            assert len(calls) == (1 if n >= cut else n + 1), n
 
 
 class TestGraph:

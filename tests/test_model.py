@@ -34,9 +34,10 @@ from gkmkit.model import (
     validate_all,
 )
 from gkmkit.matching import maximum_matching
-from gkmkit.weights import canonicalize, neg, parallel
+from gkmkit.weights import canonicalize, is_unimodular_basis, neg, parallel
 
-from conftest import random_unimodular, shuffled
+import conftest
+from conftest import random_relabel, random_unimodular, shuffled
 from oracle import chern_numerators
 
 CP2_DOC = """
@@ -602,6 +603,133 @@ class TestValidateAll:
         assert made == {"Edge": 36, "Multigraph": 1}
 
 
+def _disguised(rng, n, prefix="d"):
+    moved = transform(cpn(n).data, random_unimodular(rng, n))
+    return shuffled(rng, random_relabel(rng, moved, prefix)[0])
+
+
+def _with_points(data, points):
+    return FixedPointData(data.torus_rank, data.half_dim, tuple(points), data.torus_manifold)
+
+
+def _spoiled(rng, p):
+    """p with one weight doubled: no longer a lattice basis."""
+    ws = list(p.weights)
+    i = rng.randrange(len(ws))
+    ws[i] = tuple(2 * a for a in ws[i])
+    return FixedPoint(p.id, tuple(ws))
+
+
+class TestLatticeCertificate:
+    """``_non_basis_point`` is the first point in data order whose weights
+    are not a lattice basis, whether found by one det per component or,
+    below the crossover and on data the certificate does not cover, by
+    one det per point."""
+
+    @staticmethod
+    def _certify(data, monkeypatch):
+        """(the certificate's answer, the dets it ran) on a fresh copy,
+        checked against a det per point."""
+        fresh = _with_points(data, data.points)
+        calls = []
+        det = weights.det
+        with monkeypatch.context() as m:
+            m.setattr(weights, "det", lambda rows: calls.append(rows) or det(rows))
+            found = fresh._non_basis_point
+        expected = next((p for p in data.points if not is_unimodular_basis(p.weights)), None)
+        assert found is expected, (found, expected)
+        return found, len(calls)
+
+    def test_disguised_cpn(self, monkeypatch):
+        rng = random.Random(2300)
+        for n in range(1, 17):
+            data = _disguised(rng, n)
+            dets = 1 if n >= model._CERTIFY_FROM else n + 1
+            assert self._certify(data, monkeypatch) == (None, dets), n
+
+    def test_petrie_mutants(self, monkeypatch):
+        # w_k + t w_l keeps the point a basis but unbalances two classes;
+        # a doubled weight, or a random one, may spoil it
+        rng = random.Random(2310)
+        for n in (4, 9, 10, 12, 14, 16):
+            for _ in range(4):
+                data = _disguised(rng, n)
+                pts = list(data.points)
+                i = rng.randrange(len(pts))
+                ws = list(pts[i].weights)
+                k, l = rng.sample(range(n), 2)
+                t = rng.choice((-2, -1, 1, 2))
+                ws[k] = tuple(a + t * b for a, b in zip(ws[k], ws[l]))
+                pts[i] = FixedPoint(pts[i].id, tuple(ws))
+                mutant = _with_points(data, pts)
+                assert self._certify(mutant, monkeypatch)[0] is None
+                j = rng.randrange(len(pts))
+                pts[j] = _spoiled(rng, pts[j])
+                self._certify(_with_points(mutant, pts), monkeypatch)
+                self._certify(conftest.mutate_one_weight(rng, mutant), monkeypatch)
+
+    def test_blow_ups_and_products(self, monkeypatch):
+        rng = random.Random(2320)
+        spaces = []
+        for n in (3, 10, 11):
+            space = conftest.Space(cpn(n).data, cpn(n).graph)
+            for _ in range(3):
+                space = conftest.blow_up(space, rng.choice(space.data.points).id)
+                spaces.append(space.data)
+        for a, b in ((1, 10), (4, 6), (5, 5), (2, 9), (3, 3)):
+            spaces.append(conftest.product(cpn(a), cpn(b)).data)
+        for data in spaces:
+            n = data.half_dim
+            data = shuffled(rng, transform(data, random_unimodular(rng, n)))
+            assert self._certify(data, monkeypatch)[0] is None
+            pts = list(data.points)
+            for _ in range(2):
+                j = rng.randrange(len(pts))
+                pts[j] = _spoiled(rng, pts[j])
+                self._certify(_with_points(data, pts), monkeypatch)
+
+    def test_two_components_take_one_det_each(self, monkeypatch):
+        rng = random.Random(2330)
+        for n in (10, 12):
+            a, b = _disguised(rng, n, "a"), _disguised(rng, n, "b")
+            union = list(a.points + b.points)
+            rng.shuffle(union)
+            assert self._certify(_with_points(a, union), monkeypatch) == (None, 2)
+            j = rng.randrange(len(union))
+            union[j] = _spoiled(rng, union[j])
+            self._certify(_with_points(a, union), monkeypatch)
+
+    @pytest.mark.parametrize("n", [9, 10, 13])
+    def test_non_basis_point_first_middle_last(self, monkeypatch, n):
+        rng = random.Random(2340 + n)
+        data = _disguised(rng, n)
+        for at in (0, len(data.points) // 2, len(data.points) - 1):
+            pts = list(data.points)
+            bad = _spoiled(rng, pts.pop(rng.randrange(len(pts))))
+            pts.insert(at, bad)
+            assert self._certify(_with_points(data, pts), monkeypatch)[0] is bad
+            doc = {"torus_rank": n, "half_dim": n, "torus_manifold": True,
+                   "fixed_points": [{"id": p.id, "weights": [list(w) for w in p.weights]}
+                                    for p in pts]}
+            with pytest.raises(ParseError, match=f"^weights at {bad.id} are not a lattice basis$"):
+                parse(json.dumps(doc))
+
+    def test_repeated_id_and_zero_weight_take_a_det_per_point(self, monkeypatch):
+        rng = random.Random(2350)
+        n = model._CERTIFY_FROM + 1
+        data = _disguised(rng, n)
+        pts = list(data.points)
+        twin = FixedPoint(pts[0].id, pts[1].weights)
+        repeated = _with_points(data, pts + [twin])
+        assert self._certify(repeated, monkeypatch) == (None, n + 2)
+        spoiled = _with_points(repeated, pts + [_spoiled(rng, twin)])
+        assert self._certify(spoiled, monkeypatch) == (spoiled.points[-1], n + 2)
+        ws = list(pts[3].weights)
+        ws[rng.randrange(n)] = (0,) * n
+        zero = _with_points(repeated, pts[:3] + [FixedPoint(pts[3].id, tuple(ws))] + pts[4:])
+        assert self._certify(zero, monkeypatch) == (zero.points[3], 4)
+
+
 class TestTransforms:
     def test_transform_applies_matrix(self):
         data = cpn(2).data
@@ -839,8 +967,9 @@ class TestPackedKernels:
             ("q", (1,), (-2,)), ("q", (1,), (3,)), ("q", (-2,), (3,)))
 
     def test_one_canonicalize_per_distinct_weight_per_call(self, monkeypatch):
-        # each call builds one weight index, which canonicalizes a class
-        # {w, -w} the first time it meets either sign and never again
+        # a dataset keeps one weight index, which canonicalizes a class
+        # {w, -w} the first time it meets either sign and never again, over
+        # every check, build and localization call on that dataset
         rng = random.Random(2110)
         entry = cpn(8, random_unimodular(rng, 8))
         data = shuffled(rng, entry.data)
@@ -855,18 +984,24 @@ class TestPackedKernels:
                 calls[tuple(w)] += 1
                 return _original(w)
             monkeypatch.setattr(module, "canonicalize", counted, raising=False)
-        for subject, call in (
-                (data, lambda: validate_all(data)),
-                (data, lambda: validate_all(data, entry.graph)),
-                (data, lambda: localization.chern_report(data)),
-                (data, lambda: localization.check_lower_degree_vanishing(data)),
-                (small, lambda: localization.chern_report(small, "expanded")),
-                (small, lambda: localization.check_lower_degree_vanishing(small, "expanded")),
-                (small, lambda: localization.integrate(small, e1))):
+        for subject, work in (
+                (data, (lambda: validate_all(data),
+                        lambda: validate_all(data, entry.graph),
+                        lambda: check_pairing(data), lambda: check_gkm(data),
+                        lambda: check_describes(data, entry.graph),
+                        lambda: check_edge_congruence(data, entry.graph),
+                        lambda: build_multigraph(data),
+                        lambda: localization.chern_report(data),
+                        lambda: localization.check_lower_degree_vanishing(data))),
+                (small, (lambda: localization.chern_report(small, "expanded"),
+                         lambda: localization.check_lower_degree_vanishing(small, "expanded"),
+                         lambda: localization.integrate(small, e1)))):
             calls.clear()
-            call()
+            for call in work:
+                call()
             assert set(calls) <= set(subject.all_weights()), calls
             assert max(calls.values()) == 1, calls
+            assert sum(calls.values()) == len(subject._index.reps)
 
     def test_graph_layer_calls_no_tuple_oracles(self, monkeypatch):
         calls = Counter()
