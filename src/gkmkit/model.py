@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import attrgetter, lshift
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
@@ -104,10 +104,8 @@ class FixedPointData:
     def _non_basis_point(self) -> FixedPoint | None:
         """The first point, in data order, whose weights are not a lattice
         basis, if any; ``parse`` and the Petrie precondition both read it.
-        From half_dim ``_CERTIFY_FROM`` on, ``_WeightIndex.non_basis_point``
-        certifies whole components with one ``det``; below it, and on data
-        with a repeated id, a zero weight or a point not holding half_dim
-        weights of length half_dim, every point takes its own ``det``."""
+        The certificate and its crossover are described in README's Data
+        format; data the certificate does not cover takes a ``det`` per point."""
         n = self.half_dim
         if n >= _CERTIFY_FROM and len(self._by_id) == len(self.points):
             index = self._index
@@ -286,14 +284,13 @@ def load_path(path: str) -> Tuple[FixedPointData, Multigraph | None]:
         return parse(fh.read())
 
 
-if c_make_encoder is None:  # an interpreter without json's C accelerator
-    _compact = json.JSONEncoder(separators=(",", ":")).encode
-else:
-    def _compact(o, _encode=c_make_encoder(None, None, encode_basestring_ascii, None,
-                                           ":", ",", False, False, True)) -> str:
-        """``json.dumps(o, separators=(",", ":"))`` on a vector or a list
-        of vectors, in one call of the C encoder."""
-        return "".join(_encode(o, 0))
+def _vec_json(w: Sequence[int]) -> str:
+    return "[" + ",".join(str(a) for a in w) + "]"
+
+
+# One encoder call costs more than the join on a single vector and less on
+# a point's list of vectors, so labels take the join and weight lists this.
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def serialize(data: FixedPointData, graph: Multigraph | None = None) -> str:
@@ -310,7 +307,7 @@ def serialize(data: FixedPointData, graph: Multigraph | None = None) -> str:
         lines.append("  ],")
         lines.append('  "edges": [')
         es = [f'    {{"from": {encode_basestring_ascii(e.from_id)}, '
-              f'"to": {encode_basestring_ascii(e.to_id)}, "label": {_compact(e.label)}}}'
+              f'"to": {encode_basestring_ascii(e.to_id)}, "label": {_vec_json(e.label)}}}'
               for e in sorted(graph.edges, key=_EDGE_ORDER)]
         lines.append(",\n".join(es))
     lines.append("  ]")
@@ -443,40 +440,20 @@ class _WeightIndex:
         return _single("gkm", not witnesses, tuple(witnesses))
 
     def edge_congruence(self, graph: Multigraph) -> ValidationReport:
-        """The weights at each tail are sorted once.  Where the residues at
-        the head are distinct, each tail weight finds its partner by
-        residue, so the pairs come out sorted; otherwise the two sides'
-        sorted (residue, weight) lists are zipped."""
         witnesses, info = [], []
-        tails: Dict[str, Tuple[list[Weight], list[int]]] = {}
         for e in sorted(graph.edges, key=_EDGE_ORDER):
             edge = (e.from_id, e.to_id, e.label)
             if e.from_id not in self.at or e.to_id not in self.at:
                 witnesses.append(edge)
                 continue
-            if e.from_id not in tails:
-                ws, packed = self.at[e.from_id]
-                order = sorted(range(len(ws)), key=ws.__getitem__)
-                tails[e.from_id] = [ws[i] for i in order], [packed[i] for i in order]
-            (wu, pu), (wv, pv) = tails[e.from_id], self.at[e.to_id]
-            c = self.classes[e.label][1]
-            rep, pw = self.reps[c], self.packed[c]
-            j = pivot_index(rep)
-            d = rep[j]
-            ru = [p - u[j] // d * pw for u, p in zip(wu, pu)]
-            rv = [p - v[j] // d * pw for v, p in zip(wv, pv)]
-            partner = dict(zip(rv, wv))
-            if len(partner) == len(rv):
-                passed = len(ru) == len(rv) and partner.keys() == set(ru)
-                pairs = tuple(zip(wu, map(partner.__getitem__, ru))) if passed else ()
-            else:
-                left, right = sorted(zip(ru, wu)), sorted(zip(rv, wv))
-                passed = [r for r, _ in left] == [r for r, _ in right]
-                pairs = tuple(sorted((u, v) for (_, u), (_, v) in zip(left, right)))
-            if passed:
-                info.append((edge, pairs))
-            else:
+            res = self.residues(self.classes[e.label][1], (e.from_id, e.to_id))
+            left = sorted(zip(res[e.from_id], self.at[e.from_id][0]))
+            right = sorted(zip(res[e.to_id], self.at[e.to_id][0]))
+            if [r for r, _ in left] != [r for r, _ in right]:
                 witnesses.append(edge)
+            else:
+                pairs = tuple(sorted((u, v) for (_, u), (_, v) in zip(left, right)))
+                info.append((edge, pairs))
         return _single("edge_congruence", not witnesses, tuple(witnesses), tuple(info))
 
     def describes(self, graph: Multigraph) -> ValidationReport:
