@@ -14,14 +14,14 @@ read in order share the products of their prefixes.
   constant c exactly when S = c D coefficient by coefficient.  Makes no
   genericity assumption.
 * "generic": t is one generic integer point, entries are plain ints and
-  the sum is Fraction(S, D), when the data is certified: its ids are
-  distinct, each point has half_dim pairwise independent weights and a
-  describing graph exists.  An edge labeled w joins a +w and a -w whose
-  other weights agree on {w = 0}, so there the residues of a symmetric
-  numerator cancel in pairs (Goresky-Kottwitz-MacPherson).  The sum of a
-  Chern class of degree at most half_dim, over denominators of degree
-  half_dim, is then a polynomial of degree at most 0: a constant.  Other
-  data takes the expanded table, so the modes agree or both refuse.
+  the sum is Fraction(S, D), when the data is certified: the weights at
+  each point are pairwise independent and a describing graph exists.  An
+  edge labeled w joins a +w and a -w whose other weights agree on
+  {w = 0}, so there the residues of a symmetric numerator cancel in
+  pairs (Goresky-Kottwitz-MacPherson).  The sum of a Chern class of
+  degree at most half_dim, over denominators of degree half_dim, is then
+  a polynomial of degree at most 0: a constant.  Other data takes the
+  expanded table, so the modes agree or both refuse.
 
 Chern numbers take elementary symmetric polynomials of the weight forms
 as numerators; the top one always equals the Euler count.  Two datasets
@@ -183,14 +183,12 @@ class _Table:
 
 
 def _certified(index: _WeightIndex) -> bool:
-    """Every point has half_dim pairwise independent weights and the scan
-    of the residue buckets completes, so every bucket balances and a
+    """The weights at every point are pairwise independent and the scan of
+    the residue buckets completes, so every bucket balances and a
     describing graph exists: then every Chern-class sum is a constant."""
-    try:
-        return (all(len(row) == index.half_dim for row in index.rows)
-                and index.gkm().passed
-                and all(index.buckets()))  # each bucket is a non-empty tuple
-    except ValueError:  # a repeated id, a pairing violation or an unbalanced bucket
+    try:  # each bucket is a non-empty tuple, so all() reads every one
+        return index.gkm.passed and all(index.buckets())
+    except ValueError:  # a pairing violation or an unbalanced bucket
         return False
 
 
@@ -203,11 +201,6 @@ def _table(data: FixedPointData, upto: int, mode: str) -> _Table:
         raise ValueError(f"unknown mode {mode!r}")
     k = data.torus_rank
     index = data._index
-    if index.zero:
-        raise ValueError("zero weight")
-    for rep in index.reps:
-        if len(rep) != k:  # the symbolic point would drop or miss entries
-            raise ValueError(f"dimension mismatch: {len(rep)} vs {k}")
     factor: Dict[Tuple[int, int], int] = {}  # (class, copy at a point) -> factor of D
     rows = []
     for row in index.rows:

@@ -17,9 +17,11 @@ the tuple forms ``residue_mod`` and ``congruent_mod`` stay as the
 reference the tests hold them to, and because the benchmark's per-layer
 tracer wraps them.
 
-Checks never raise on bad data; they return a :class:`ValidationReport`
-whose witnesses say what failed and where.  Errors are reserved for
-malformed input (wrong shapes, unparsable documents).
+``FixedPointData`` refuses what ``parse`` refuses: a repeated id, a point
+without ``half_dim`` weights, a weight without ``torus_rank`` entries, a
+zero weight, and the ``torus_manifold`` flag when k != n.  Checks never
+raise on data built past that; they return a :class:`ValidationReport`
+whose witnesses say what failed and where.
 """
 
 from __future__ import annotations
@@ -83,6 +85,25 @@ class FixedPointData:
     points: Tuple[FixedPoint, ...]
     torus_manifold: bool = False
 
+    def __post_init__(self) -> None:
+        """The shape rules, in ``parse``'s order and words; the lattice
+        bases stay lazy (``_non_basis_point``)."""
+        k, n = self.torus_rank, self.half_dim
+        seen: set[str] = set()
+        for p in self.points:
+            if p.id in seen:
+                raise ValueError(f"duplicate fixed point id: {p.id}")
+            seen.add(p.id)
+            if len(p.weights) != n:
+                raise ValueError(f"point {p.id} must carry exactly {n} weights")
+            if not {k} >= set(map(len, p.weights)):
+                w = next(w for w in p.weights if len(w) != k)
+                raise ValueError(f"weight {w} at point {p.id} must have {k} entries")
+            if not all(map(any, p.weights)):
+                raise ValueError(f"zero weight at point {p.id}")
+        if self.torus_manifold and k != n:
+            raise ValueError(f"torus_manifold needs torus_rank == half_dim, got {k} != {n}")
+
     def ids(self) -> Tuple[str, ...]:
         return tuple(sorted(p.id for p in self.points))
 
@@ -91,8 +112,8 @@ class FixedPointData:
 
     @cached_property
     def _by_id(self) -> Dict[str, FixedPoint]:
-        # first point wins on a repeated id; not a field, so eq and repr skip it
-        return {p.id: p for p in reversed(self.points)}
+        # not a field, so eq and repr skip it
+        return {p.id: p for p in self.points}
 
     @cached_property
     def _index(self) -> _WeightIndex:
@@ -105,12 +126,9 @@ class FixedPointData:
         """The first point, in data order, whose weights are not a lattice
         basis, if any; ``parse`` and the Petrie precondition both read it.
         The certificate and its crossover are described in README's Data
-        format; data the certificate does not cover takes a ``det`` per point."""
-        n = self.half_dim
-        if n >= _CERTIFY_FROM and len(self._by_id) == len(self.points):
-            index = self._index
-            if not index.zero and {n} == set(map(len, index.reps)) | set(map(len, index.rows)):
-                return index.non_basis_point(self.points)
+        format; below the crossover each point takes a ``det``."""
+        if self.half_dim >= _CERTIFY_FROM:
+            return self._index.non_basis_point(self.points)
         return next((p for p in self.points if not is_unimodular_basis(p.weights)),
                     None)
 
@@ -228,16 +246,12 @@ def parse(raw: bytes | str) -> Tuple[FixedPointData, Multigraph | None]:
     if not isinstance(entries, list) or not entries:
         raise ParseError("fixed_points must be a non-empty list")
     points = []
-    seen: set[str] = set()
     for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"id", "weights"}:
             raise ParseError(f"fixed point must have exactly id and weights: {entry!r}")
         pid = entry["id"]
         if not isinstance(pid, str) or not pid:
             raise ParseError(f"fixed point id must be a non-empty string: {pid!r}")
-        if pid in seen:
-            raise ParseError(f"duplicate fixed point id: {pid}")
-        seen.add(pid)
         ws = entry["weights"]
         if not isinstance(ws, list) or len(ws) != n:
             raise ParseError(f"point {pid} must carry exactly {n} weights")
@@ -246,13 +260,12 @@ def parse(raw: bytes | str) -> Tuple[FixedPointData, Multigraph | None]:
             weights = tuple(map(tuple, ws))
         else:  # _parse_vector words the error of the first bad vector
             weights = tuple(_parse_vector(w, k, f"weight of {pid}") for w in ws)
-        if not all(map(any, weights)):
-            raise ParseError(f"zero weight at point {pid}")
         points.append(FixedPoint(pid, weights))
 
-    if tm and k != n:
-        raise ParseError(f"torus_manifold needs torus_rank == half_dim, got {k} != {n}")
-    data = FixedPointData(k, n, tuple(points), tm)
+    try:  # the repeated id, the zero weight and the flag's k != n
+        data = FixedPointData(k, n, tuple(points), tm)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     if tm and data._non_basis_point is not None:
         raise ParseError(f"weights at {data._non_basis_point.id} are not a lattice basis")
 
@@ -269,13 +282,13 @@ def parse(raw: bytes | str) -> Tuple[FixedPointData, Multigraph | None]:
             for end in (u, v):
                 if not isinstance(end, str) or not end:
                     raise ParseError(f"edge endpoint must be a non-empty string: {end!r}")
-            if u not in seen or v not in seen:
+            if u not in data._by_id or v not in data._by_id:
                 raise ParseError(f"edge endpoint is not a fixed point id: {entry!r}")
             label = _parse_vector(entry["label"], k, "edge label")
             if not any(label):
                 raise ParseError(f"zero edge label on {u}->{v}")
             edges.append(Edge(u, v, label))
-        graph = Multigraph(tuple(sorted(seen)), tuple(edges))
+        graph = Multigraph(data.ids(), tuple(edges))
     return data, graph
 
 
@@ -347,18 +360,17 @@ class _WeightIndex:
     labels are not all weight classes.
 
     ``classes`` maps each weight and edge label, and its negation, to its
-    sign and class id, canonicalizing once per class (a zero weight: sign
-    0, no class, and ``zero`` set); ``rows`` lists per point, in data
-    order, those of its weights; ``reps`` holds per class the representative
-    (positive leading entry); ``order`` sorts the classes by representative;
-    ``points`` pairs each point with its row in id order; per class
-    ``carriers`` holds the ids at +w and at -w in id order and ``packed``
-    the packed int of rep; ``at`` maps each id (first point wins) to its
+    sign and class id, canonicalizing once per class; ``rows`` lists per
+    point, in data order, those of its weights; ``reps`` holds per class
+    the representative (positive leading entry); ``order`` sorts the
+    classes by representative; ``points`` pairs each point with its row in
+    id order; per class ``carriers`` holds the ids at +w and at -w in id
+    order and ``packed`` the packed int of rep; ``at`` maps each id to its
     weights and their packed ints; ``splits`` keeps the residue buckets of
-    each class once ``split`` has found them.  Nothing else changes after
-    construction, so every check on one dataset can share one index.  It
-    keeps the data's ``rank`` and ``half_dim`` but no reference to the
-    data, which keeps it (``FixedPointData._index``) without a cycle.
+    each class once ``split`` has found them, and ``pairing`` and ``gkm``
+    their reports once read.  Nothing else changes after construction, so
+    every check on one dataset can share one index.  It keeps no reference
+    to the data, which keeps it (``FixedPointData._index``) without a cycle.
 
     A vector v packs to P(v) = sum v_i 2^(s i).  Packing is linear, so the
     residue of u mod w packs to P(u) - c P(w) with c as in ``residue_mod``.
@@ -370,7 +382,6 @@ class _WeightIndex:
     """
 
     def __init__(self, data: FixedPointData, labels: Iterable[Weight] = ()):
-        self.rank, self.half_dim, self.zero = data.torus_rank, data.half_dim, False
         self.classes, self.reps = classes, reps = {}, []
         self.rows = [[classes.get(w) or self._add(w) for w in p.weights] for p in data.points]
         for w in labels:
@@ -380,21 +391,15 @@ class _WeightIndex:
         self.carriers = [([], []) for _ in reps]
         for p, row in self.points:
             for s, c in row:
-                if s:
-                    self.carriers[c][s < 0].append(p.id)
+                self.carriers[c][s < 0].append(p.id)
         m = max(map(abs, chain.from_iterable(reps)), default=0)
         self.width = (m + m * m).bit_length() + 1
         self.packed = packed = [self.pack(rep) for rep in reps]
-        self.at = {p.id: (p.weights, [s * packed[c] if s else 0 for s, c in row])
-                   for p, row in reversed(self.points)}
+        self.at = {p.id: (p.weights, [s * packed[c] for s, c in row]) for p, row in self.points}
         self.splits: Dict[int, list[Tuple[list[str], list[str]]]] = {}
 
-    def _add(self, w: Weight) -> Tuple[int, int | None]:
-        try:
-            s, rep = canonicalize(w)
-        except ValueError:  # a zero weight
-            self.zero, self.classes[w] = True, (0, None)
-            return self.classes[w]
+    def _add(self, w: Weight) -> Tuple[int, int]:
+        s, rep = canonicalize(w)
         c = len(self.reps)  # a new class: each class enters with both signs
         self.reps.append(rep)
         self.classes[rep], self.classes[w if s < 0 else neg(w)] = (1, c), (-1, c)
@@ -412,31 +417,28 @@ class _WeightIndex:
         return {pid: [pu - u[j] // d * pw for u, pu in zip(*self.at[pid])]
                 for pid in pids}
 
+    @cached_property
     def pairing(self) -> ValidationReport:
-        """Per class the counts of +w and -w; a zero weight, which has no
-        negative to pair with, fails first with the zero vector."""
+        """Per class the counts of +w and -w."""
         counts = [(self.reps[c], *map(len, self.carriers[c])) for c in self.order]
         bad = [(rep, f"{rep}: {a} vs {b} negated") for rep, a, b in counts if a != b]
-        if self.zero:
-            zeros = [p.id for p, row in self.points if (0, None) in row]
-            bad.insert(0, ((0,) * self.rank, f"zero weight at {', '.join(zeros)}"))
         return _single("pairing", not bad, tuple(w for w, _ in bad),
                        note="; ".join(note for _, note in bad))
 
+    @cached_property
     def gkm(self) -> ValidationReport:
         """Per point the primitive directions rep / gcd(rep) of its
-        weights, as ids; a zero weight has none."""
+        weights, as ids."""
         lines: Dict[Weight, int] = {}
         direction = [lines.setdefault(rep if (g := gcd(*rep)) == 1 else
                                       tuple(a // g for a in rep), len(lines))
                      for rep in self.reps]
         witnesses = []
         for p, row in self.points:
-            dirs = [direction[c] if s else None for s, c in row]
-            if len(set(dirs)) < len(dirs) or None in dirs:
+            dirs = [direction[c] for _, c in row]
+            if len(set(dirs)) < len(dirs):
                 witnesses.extend((p.id, u, v) for (u, a), (v, b)
-                                 in combinations(zip(p.weights, dirs), 2)
-                                 if a == b or a is None or b is None)
+                                 in combinations(zip(p.weights, dirs), 2) if a == b)
         return _single("gkm", not witnesses, tuple(witnesses))
 
     def edge_congruence(self, graph: Multigraph) -> ValidationReport:
@@ -497,14 +499,9 @@ class _WeightIndex:
         at q exactly when the weight multisets at p and q have the same
         sorted residues mod w, so a describing multigraph exists exactly
         when every bucket holds as many +w as -w.  Raises ValueError on a
-        repeated point id or a pairing violation (a zero weight is one)
-        before the first bucket, and MatchingError at the first unbalanced
-        bucket."""
-        for (a, _), (b, _) in zip(self.points, self.points[1:]):
-            if a.id == b.id:
-                raise ValueError(f"repeated point id {a.id!r}, "
-                                 f"no multigraph can describe the data")
-        pairing = self.pairing().results[0]
+        pairing violation before the first bucket, and MatchingError at
+        the first unbalanced bucket."""
+        pairing = self.pairing.results[0]
         if not pairing.passed:
             raise ValueError(f"pairing violation, no multigraph can describe the data: "
                              f"{pairing.note}")
@@ -517,8 +514,7 @@ class _WeightIndex:
 
     def non_basis_point(self, points: Sequence[FixedPoint]) -> FixedPoint | None:
         """The first of the data's points (in data order, as ``rows``)
-        whose n weights of length n are not a lattice basis; for data with
-        distinct ids and no zero weight.
+        whose n weights of length n are not a lattice basis.
 
         A basis certifies its residue buckets.  Let the weights at p be a
         basis and q share p's bucket of class {w, -w}.  Then w is the only
@@ -557,16 +553,21 @@ class _WeightIndex:
 
 def _graph_index(data: FixedPointData, graph: Multigraph) -> _WeightIndex:
     """The data's index, or its own one with the graph's labels when a
-    label is not a weight class of the data."""
+    label is not a weight class of the data.  Raises ValueError on the
+    first edge whose label does not have ``torus_rank`` entries."""
     index = data._index
     if all(e.label in index.classes for e in graph.edges):
         return index
+    for e in graph.edges:
+        if len(e.label) != data.torus_rank:
+            raise ValueError(f"label {e.label} of edge {e.from_id}->{e.to_id} "
+                             f"must have {data.torus_rank} entries")
     return _WeightIndex(data, (e.label for e in graph.edges))
 
 
 def check_pairing(data: FixedPointData) -> ValidationReport:
     """Every weight must occur as often as its negative, globally."""
-    return data._index.pairing()
+    return data._index.pairing
 
 
 def check_weight_sum_zero(data: FixedPointData) -> ValidationReport:
@@ -579,9 +580,8 @@ def check_weight_sum_zero(data: FixedPointData) -> ValidationReport:
 def check_gkm(data: FixedPointData) -> ValidationReport:
     """Weights at each point must be pairwise linearly independent: their
     primitive directions (see ``_WeightIndex``) must differ.  Every
-    parallel pair is a witness, in pair order; a zero weight is parallel
-    to every weight."""
-    return data._index.gkm()
+    parallel pair is a witness, in pair order."""
+    return data._index.gkm
 
 
 def check_edge_congruence(data: FixedPointData,
@@ -675,7 +675,7 @@ def validate_all(data: FixedPointData,
     edges; no graph is built.  Every bucket is read, since a later one may
     be unbalanced after an earlier one has forced a loop."""
     index = data._index if graph is None else _graph_index(data, graph)
-    reports = [index.pairing(), check_weight_sum_zero(data), index.gkm()]
+    reports = [index.pairing, check_weight_sum_zero(data), index.gkm]
     if graph is not None:
         reports += [index.describes(graph), check_simple(graph)]
     elif reports[0].passed:

@@ -94,7 +94,7 @@ def _reconstruct(data: FixedPointData, base_id: str) -> Tuple[Dict[str, Weight] 
     total = [sum(col) for col in zip(*base)]
     unused = set(base)
     others = list(data.ids())
-    others.remove(base_id)  # one occurrence: a repeated id fails below
+    others.remove(base_id)
     assignment: Dict[str, Weight] = {}
     for pid in others:
         weights = data.point(pid).weights
@@ -113,9 +113,6 @@ def _reconstruct(data: FixedPointData, base_id: str) -> Tuple[Dict[str, Weight] 
 def _precondition_witness(data: FixedPointData) -> str | None:
     if not data.torus_manifold:
         return "data is not flagged as a torus manifold"
-    if data.torus_rank != data.half_dim:
-        return (f"torus rank {data.torus_rank} differs from "
-                f"half dimension {data.half_dim}")
     if data._non_basis_point is not None:
         return f"weights at {data._non_basis_point.id} are not a lattice basis"
     if len(data.points) != data.half_dim + 1:

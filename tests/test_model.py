@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -196,6 +197,58 @@ class TestParsing:
             parse(json.dumps(doc))
 
 
+def _doc(k, n, points, torus_manifold=False):
+    return {"torus_rank": k, "half_dim": n, "torus_manifold": torus_manifold,
+            "fixed_points": [{"id": pid, "weights": [list(w) for w in ws]}
+                             for pid, ws in points]}
+
+
+def _built(doc):
+    """The FixedPointData call that ``parse`` makes for the document."""
+    return FixedPointData(doc["torus_rank"], doc["half_dim"], tuple(
+        FixedPoint(e["id"], tuple(map(tuple, e["weights"]))) for e in doc["fixed_points"]),
+        doc["torus_manifold"])
+
+
+def _cp2_with_first_weight(w):
+    pts = list(cpn(2).data.points)
+    pts[0] = FixedPoint(pts[0].id, (w,) + pts[0].weights[1:])
+    return lambda: FixedPointData(2, 2, tuple(pts))
+
+
+class TestShapeRules:
+    """``FixedPointData`` refuses what ``parse`` refuses, in the same words."""
+
+    @pytest.mark.parametrize("case,text", [
+        pytest.param(_doc(2, 2, [("p0", [(0, -1), (-1, 0)]), ("p0", [(1, 0), (0, 1)])]),
+                     "duplicate fixed point id: p0", id="duplicate-id"),
+        # Hirzebruch F_1 weights, two at each point, declared with half_dim 3
+        pytest.param(_doc(2, 3, [("q1", [(1, 0), (-1, 1)]), ("q2", [(0, 1), (1, -1)]),
+                                 ("p1", [(-1, 0), (-1, 1)]), ("p2", [(0, -1), (1, -1)])]),
+                     "point q1 must carry exactly 3 weights", id="short-point"),
+        pytest.param(_doc(2, 3, [("z", [(1, 0), (0, 0), (0, 1)])]),
+                     "zero weight at point z", id="zero-weight"),
+        pytest.param(_doc(2, 3, [(p.id, p.weights) for p in s6().data.points], True),
+                     "torus_manifold needs torus_rank == half_dim, got 2 != 3",
+                     id="torus-manifold-rank"),
+        # parse words a vector of the wrong length as a JSON type error
+        pytest.param(_cp2_with_first_weight((1, 0, 5)),
+                     "weight (1, 0, 5) at point p0 must have 2 entries", id="weight-too-long"),
+        pytest.param(_cp2_with_first_weight((1,)),
+                     "weight (1,) at point p0 must have 2 entries", id="weight-too-short"),
+        pytest.param(lambda: transform(cpn(2).data, ((1, 1), (1, 1))),
+                     "zero weight at point p1", id="singular-transform"),
+        pytest.param(lambda: relabel(cpn(2).data, {"p0": "a", "p1": "a", "p2": "b"}),
+                     "duplicate fixed point id: a", id="non-injective-relabel"),
+    ])
+    def test_constructor_refuses(self, case, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            case() if callable(case) else _built(case)
+        if not callable(case):
+            with pytest.raises(ParseError, match=f"^{re.escape(text)}$"):
+                parse(json.dumps(case))
+
+
 class TestBasicChecks:
     def test_pairing_passes_on_catalog(self):
         for entry in all_entries():
@@ -207,21 +260,6 @@ class TestBasicChecks:
         assert not rep.passed
         assert (1, 0) in rep.results[0].witnesses
         assert (0, 1) in rep.results[0].witnesses
-
-    def test_zero_weight_is_reported_not_raised(self):
-        # parse rejects a zero weight, but data built in code may carry one
-        data = FixedPointData(2, 3, (FixedPoint("z", ((1, 0), (0, 0), (0, 1))),))
-        pairing = check_pairing(data).results[0]
-        assert not pairing.passed
-        assert pairing.witnesses == ((0, 0), (0, 1), (1, 0))
-        assert pairing.note == "zero weight at z; (0, 1): 1 vs 0 negated; (1, 0): 1 vs 0 negated"
-        report = validate_all(data)
-        assert [r.check for r in report.results] == ["pairing", "weight_sum", "gkm"]
-        assert report.results[0] == pairing and not report.passed
-        with pytest.raises(ValueError, match="pairing violation.*zero weight at z"):
-            build_multigraph(data)
-        with pytest.raises(ValueError, match="^zero weight$"):
-            localization._table(data, 3, "generic")
 
     def test_pairing_counts_multiplicity(self):
         # two copies of w against one of -w is unbalanced
@@ -357,6 +395,22 @@ class TestCongruence:
                 assert sorted(a for a, _ in pairs) == sorted(data.point(u).weights)
                 assert sorted(b for _, b in pairs) == sorted(data.point(v).weights)
         assert passed > 50 and failed > 50  # both verdicts exercised
+
+    @pytest.mark.parametrize("label", [(0, 0, 1), (1, 0, 0), (1,)],
+                             ids=["too-long-off-the-weights", "too-long", "too-short"])
+    def test_label_of_wrong_length_is_refused(self, label):
+        # (0, 0, 1) read past the weights' entries; (1,) and (1, 0, 0)
+        # passed congruence on the entries they share with the weights
+        entry = cpn(2)
+        edges = list(entry.graph.edges)
+        first, second = edges[1], edges[2]
+        edges[1] = Edge(first.from_id, first.to_id, label)
+        edges[2] = Edge(second.from_id, second.to_id, (1, 1, 1, 1))
+        graph = Multigraph(entry.graph.vertex_ids, tuple(edges))
+        text = f"label {label} of edge {first.from_id}->{first.to_id} must have 2 entries"
+        for check in (check_edge_congruence, check_describes, validate_all):
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                check(entry.data, graph)
 
 
 class TestDescribes:
@@ -557,20 +611,6 @@ class TestValidateAll:
         rep = validate_all(data)
         assert not rep.result("buildable").passed
 
-    def test_repeated_id_is_not_buildable(self):
-        # lookup by id sees only the first p0, so the residues of the
-        # second point were never read and the graph was two self-loops
-        data = FixedPointData(2, 2, (FixedPoint("p0", ((0, -1), (-1, 0))),
-                                     FixedPoint("p0", ((1, 0), (0, 1)))))
-        rep = validate_all(data)
-        assert [(r.check, r.passed) for r in rep.results] == [
-            ("pairing", True), ("weight_sum", True), ("gkm", True),
-            ("buildable", False)]
-        assert rep.result("buildable").note == (
-            "repeated point id 'p0', no multigraph can describe the data")
-        with pytest.raises(ValueError, match="repeated point id 'p0'"):
-            build_multigraph(data)
-
     def test_unbalanced_bucket_after_a_forced_loop(self):
         # class (1,) forces a loop at p0 first; class (3,) then has residues
         # {0, 1} at p1 and {0, 2} at p2, an unbalanced bucket, so a scan that
@@ -714,21 +754,6 @@ class TestLatticeCertificate:
             with pytest.raises(ParseError, match=f"^weights at {bad.id} are not a lattice basis$"):
                 parse(json.dumps(doc))
 
-    def test_repeated_id_and_zero_weight_take_a_det_per_point(self, monkeypatch):
-        rng = random.Random(2350)
-        n = model._CERTIFY_FROM + 1
-        data = _disguised(rng, n)
-        pts = list(data.points)
-        twin = FixedPoint(pts[0].id, pts[1].weights)
-        repeated = _with_points(data, pts + [twin])
-        assert self._certify(repeated, monkeypatch) == (None, n + 2)
-        spoiled = _with_points(repeated, pts + [_spoiled(rng, twin)])
-        assert self._certify(spoiled, monkeypatch) == (spoiled.points[-1], n + 2)
-        ws = list(pts[3].weights)
-        ws[rng.randrange(n)] = (0,) * n
-        zero = _with_points(repeated, pts[:3] + [FixedPoint(pts[3].id, tuple(ws))] + pts[4:])
-        assert self._certify(zero, monkeypatch) == (zero.points[3], 4)
-
 
 class TestTransforms:
     def test_transform_applies_matrix(self):
@@ -758,10 +783,6 @@ class TestTransforms:
             data.point("q")
         assert repr(data) == before
         assert data == cpn(3).data and hash(data) == hash(cpn(3).data)
-
-    def test_point_lookup_first_of_repeated_id(self):
-        first, second = FixedPoint("p", ((1,),)), FixedPoint("p", ((-1,),))
-        assert FixedPointData(1, 1, (first, second)).point("p") is first
 
 
 def _kernel_data(rng):
@@ -868,16 +889,15 @@ class TestPackedKernels:
         assert equal > 1000 and unequal > 1000
 
     def test_packing_injective_on_every_small_residue(self):
-        # every vector of [-2, 2]^3 modulo every label there: the width is
+        # every non-zero vector of [-2, 2]^3 modulo every other: the width is
         # the least that keeps these residues apart
-        box = [w for w in product(range(-2, 3), repeat=3)]
+        box = [w for w in product(range(-2, 3), repeat=3) if any(w)]
         data = FixedPointData(3, len(box), (FixedPoint("p", tuple(box)),))
         kernel = _WeightIndex(data)
         for label in box:
-            if any(label):
-                packed = kernel.residues(kernel.classes[label][1], ["p"])["p"]
-                tuples = [residue_mod(u, label) for u in box]
-                assert len(set(zip(packed, tuples))) == len(set(packed)) == len(set(tuples))
+            packed = kernel.residues(kernel.classes[label][1], ["p"])["p"]
+            tuples = [residue_mod(u, label) for u in box]
+            assert len(set(zip(packed, tuples))) == len(set(packed)) == len(set(tuples))
 
     def test_labels_widen_the_packing(self):
         # mod (1, 50, 0) the residues (0, 2050, 0) and (0, -2046, 1) differ, yet
@@ -957,10 +977,6 @@ class TestPackedKernels:
     def test_gkm_parallel_pairs(self):
         data = FixedPointData(2, 3, (FixedPoint("p", ((2, 4), (1, 0), (-1, -2))),))
         assert check_gkm(data).results[0].witnesses == (("p", (2, 4), (-1, -2)),)
-        # a zero weight is parallel to every weight
-        data = FixedPointData(2, 3, (FixedPoint("z", ((1, 0), (0, 0), (0, 1))),))
-        assert check_gkm(data).results[0].witnesses == (
-            ("z", (1, 0), (0, 0)), ("z", (0, 0), (0, 1)))
         # in rank 1 every pair of weights is parallel
         data = FixedPointData(1, 3, (FixedPoint("q", ((1,), (-2,), (3,))),))
         assert check_gkm(data).results[0].witnesses == (

@@ -163,12 +163,6 @@ class TestVerifyRejections:
         assert report.verdict == "precondition-failed"
         assert "flag" in report.witness
 
-    def test_rank_dimension_mismatch(self):
-        data = FixedPointData(2, 3, s6().data.points, torus_manifold=True)
-        report = petrie_verify(data)
-        assert report.verdict == "precondition-failed"
-        assert "rank" in report.witness
-
     def test_non_basis_weights(self):
         pts = []
         for p in cpn(2).data.points:
