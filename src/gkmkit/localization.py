@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import prod
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .model import FixedPointData, ValidationReport, _single, _WeightIndex
+from .model import FixedPointData, ValidationReport, _single
 from .weights import (
     SparsePoly,
     Weight,
@@ -77,6 +77,8 @@ def _check_numerators(data: FixedPointData,
     missing = [p.id for p in data.points if p.id not in numerators]
     if missing:
         raise ValueError(f"numerator missing for points: {missing}")
+    if any(len(e) != data.torus_rank for p in data.points for e in numerators[p.id]):
+        raise ValueError(f"numerator exponents must have torus_rank {data.torus_rank} entries")
 
 
 class _Packed(dict):
@@ -182,16 +184,6 @@ class _Table:
         return self.ratio(sum(chain[-1][1]))
 
 
-def _certified(index: _WeightIndex) -> bool:
-    """The weights at every point are pairwise independent and the scan of
-    the residue buckets completes, so every bucket balances and a
-    describing graph exists: then every Chern-class sum is a constant."""
-    try:  # each bucket is a non-empty tuple, so all() reads every one
-        return index.gkm.passed and all(index.buckets())
-    except ValueError:  # a pairing violation or an unbalanced bucket
-        return False
-
-
 def _table(data: FixedPointData, upto: int, mode: str) -> _Table:
     """The table of the mode for classes, or numerators, of degree up to
     upto: at one generic point for certified data in generic mode, else at
@@ -211,7 +203,7 @@ def _table(data: FixedPointData, upto: int, mode: str) -> _Table:
             den.append((s, factor.setdefault((c, copy), len(factor))))
         rows.append((sign, den))
     forms = [index.reps[c] for c, _ in factor]
-    if mode == "generic" and _certified(index):
+    if mode == "generic" and index.certified:
         return _Table(forms, rows, upto, next(generic_points(index.reps, k)) if forms else ())
     base = 1 + len(forms) + max(upto, 0)
     # t is read by the forms and by integrate's numerators of positive degree

@@ -361,16 +361,16 @@ class _WeightIndex:
 
     ``classes`` maps each weight and edge label, and its negation, to its
     sign and class id, canonicalizing once per class; ``rows`` lists per
-    point, in data order, those of its weights; ``reps`` holds per class
-    the representative (positive leading entry); ``order`` sorts the
-    classes by representative; ``points`` pairs each point with its row in
-    id order; per class ``carriers`` holds the ids at +w and at -w in id
-    order and ``packed`` the packed int of rep; ``at`` maps each id to its
-    weights and their packed ints; ``splits`` keeps the residue buckets of
-    each class once ``split`` has found them, and ``pairing`` and ``gkm``
-    their reports once read.  Nothing else changes after construction, so
-    every check on one dataset can share one index.  It keeps no reference
-    to the data, which keeps it (``FixedPointData._index``) without a cycle.
+    point, in data order, those of its weights; ``reps`` holds per class the
+    representative (positive leading entry); ``order`` sorts the classes by
+    representative; ``points`` pairs each point with its row in id order;
+    per class ``carriers`` holds the ids at +w and at -w in id order and
+    ``packed`` the packed int of rep; ``at`` maps each id to its weights and
+    their packed ints; ``splits`` keeps the residue buckets of each class
+    once ``split`` has found them, and ``pairing``, ``gkm``, ``directions``,
+    ``unbalanced`` and ``certified`` their values once read.  Nothing else
+    changes after construction, so every check on one dataset can share one
+    index.  It holds no reference to the data that keeps it: no cycle.
 
     A vector v packs to P(v) = sum v_i 2^(s i).  Packing is linear, so the
     residue of u mod w packs to P(u) - c P(w) with c as in ``residue_mod``.
@@ -426,16 +426,18 @@ class _WeightIndex:
                        note="; ".join(note for _, note in bad))
 
     @cached_property
-    def gkm(self) -> ValidationReport:
-        """Per point the primitive directions rep / gcd(rep) of its
-        weights, as ids."""
+    def directions(self) -> list[int]:
+        """Per class the id of its primitive direction rep / gcd(rep)."""
         lines: Dict[Weight, int] = {}
-        direction = [lines.setdefault(rep if (g := gcd(*rep)) == 1 else
-                                      tuple(a // g for a in rep), len(lines))
-                     for rep in self.reps]
+        return [lines.setdefault(rep if (g := gcd(*rep)) == 1 else
+                                 tuple(a // g for a in rep), len(lines)) for rep in self.reps]
+
+    @cached_property
+    def gkm(self) -> ValidationReport:
+        """Per point the ``directions`` of its weights must differ."""
         witnesses = []
         for p, row in self.points:
-            dirs = [direction[c] for _, c in row]
+            dirs = [self.directions[c] for _, c in row]
             if len(set(dirs)) < len(dirs):
                 witnesses.extend((p.id, u, v) for (u, a), (v, b)
                                  in combinations(zip(p.weights, dirs), 2) if a == b)
@@ -498,19 +500,29 @@ class _WeightIndex:
         in sorted order.  Within a class {w, -w}, w at p may pair with -w
         at q exactly when the weight multisets at p and q have the same
         sorted residues mod w, so a describing multigraph exists exactly
-        when every bucket holds as many +w as -w.  Raises ValueError on a
-        pairing violation before the first bucket, and MatchingError at
-        the first unbalanced bucket."""
+        when no class is ``unbalanced``.  Both errors come before the first
+        bucket: ValueError on a pairing violation, then MatchingError."""
         pairing = self.pairing.results[0]
         if not pairing.passed:
             raise ValueError(f"pairing violation, no multigraph can describe the data: "
                              f"{pairing.note}")
-        for c in self.order:
-            for plus, minus in self.split(c):
-                if len(plus) != len(minus):
-                    rep = self.reps[c]
-                    raise MatchingError(rep, f"no congruent matching for weight class {rep}")
+        if self.unbalanced:
+            rep = self.reps[self.unbalanced[0]]
+            raise MatchingError(rep, f"no congruent matching for weight class {rep}")
+        for c in self.order:  # ``unbalanced`` has split every class
+            for plus, minus in self.splits[c]:
                 yield self.reps[c], plus, minus
+
+    @cached_property
+    def unbalanced(self) -> list[int]:
+        """The classes, in ``order``, with a residue bucket whose sides differ."""
+        return list(dict.fromkeys(c for c in self.order for a, b in self.split(c)
+                                  if len(a) != len(b)))
+
+    @cached_property
+    def certified(self) -> bool:
+        """The localization certificate: ``gkm``, ``pairing``, no ``unbalanced`` class."""
+        return self.gkm.passed and self.pairing.passed and not self.unbalanced
 
     def non_basis_point(self, points: Sequence[FixedPoint]) -> FixedPoint | None:
         """The first of the data's points (in data order, as ``rows``)
@@ -672,17 +684,15 @@ def validate_all(data: FixedPointData,
     """Run every applicable check.  Without a graph, decide whether one can
     be built, and whether loop-free, from the pairs ``_pair_bucket`` makes
     in each residue bucket, the same pairs ``build_multigraph`` turns into
-    edges; no graph is built.  Every bucket is read, since a later one may
-    be unbalanced after an earlier one has forced a loop."""
+    edges; no graph is built."""
     index = data._index if graph is None else _graph_index(data, graph)
     reports = [index.pairing, check_weight_sum_zero(data), index.gkm]
     if graph is not None:
         reports += [index.describes(graph), check_simple(graph)]
     elif reports[0].passed:
-        loops = False
         try:
-            for _, left, right in index.buckets():
-                loops = loops or any(u == v for u, v in _pair_bucket(left, right))
+            loops = any(u == v for _, left, right in index.buckets()
+                        for u, v in _pair_bucket(left, right))
         except ValueError as exc:
             reports.append(_single("buildable", False, note=str(exc)))
         else:

@@ -5,6 +5,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -39,7 +40,7 @@ from oracle import chern_numerators, localize_sum, poly_const_value, poly_is_con
 
 def certified(data: FixedPointData) -> bool:
     """The localization certificate of the data, on a fresh weight index."""
-    return localization._certified(model._WeightIndex(data))
+    return model._WeightIndex(data).certified
 
 
 def corrupted_cp2() -> FixedPointData:
@@ -160,6 +161,13 @@ class TestIntegrate:
         with pytest.raises(InconsistencyError, match="not a constant"):
             integrate(data, {"p": {(1, 0, 0): Fraction(1)}})
         assert integrate(data, {"p": poly_const(3, 5)}) == 5
+
+    def test_exponents_of_the_wrong_length(self):
+        # too long and too short: neither may be cut or padded to rank 2
+        data = cpn(2).data
+        for exponents in ((0, 0, 2), (2,)):
+            with pytest.raises(ValueError, match="torus_rank 2 entries"):
+                integrate(data, {p.id: {exponents: Fraction(1)} for p in data.points})
 
     def test_missing_numerator(self):
         data = cpn(2).data
@@ -306,7 +314,7 @@ def certificate_oracle(data: FixedPointData) -> bool:
 
 
 class TestCertificate:
-    """``_certified`` checks residue buckets only, and builds no graph."""
+    """``certified`` reads residue buckets only, and builds no graph."""
 
     def test_equals_graph_certificate(self):
         rng = random.Random(20261020)
@@ -322,7 +330,24 @@ class TestCertificate:
             want = certificate_oracle(data)
             assert certified(data) == want, data
             seen["certified"] += want
+            index = model._WeightIndex(data)
+            unmatched = None
+            try:
+                build_multigraph(data)
+            except model.MatchingError as exc:
+                unmatched = exc.weight_class
+            except ValueError:  # a pairing violation
+                pass
+            assert (not index.unbalanced) == (index.pairing.passed and unmatched is None), data
+            if unmatched is not None:
+                assert unmatched == index.reps[index.unbalanced[0]], data
+                seen["unmatched"] += 1
+            for a, b in combinations(range(len(index.reps)), 2):
+                same = index.directions[a] == index.directions[b]
+                assert same == weights.parallel(index.reps[a], index.reps[b]), data
+                seen["parallel"] += same
         assert seen["certified"] > 300 and len(datasets) - seen["certified"] > 300, seen
+        assert seen["unmatched"] > 300 and seen["parallel"] > 500, seen
 
 
 def never_raise_data(seed=20261020):

@@ -457,6 +457,12 @@ class TestDescribes:
         assert rep.results[0].witnesses[0][0] == "self_loop"
 
 
+def _two_unbalanced() -> FixedPointData:
+    """Two points whose classes (0, 1) and (1, 0) both have unbalanced buckets."""
+    return FixedPointData(2, 2, (FixedPoint("p", ((1, 0), (0, 1))),
+                                 FixedPoint("q", ((-1, 0), (0, -1)))))
+
+
 class TestBuildMultigraph:
     def test_projective_plane_triangle(self):
         entry = cpn(2)
@@ -495,13 +501,20 @@ class TestBuildMultigraph:
             build_multigraph(data)
 
     def test_unmatchable_class(self):
-        data = FixedPointData(2, 2, (
-            FixedPoint("p", ((1, 0), (0, 1))),
-            FixedPoint("q", ((-1, 0), (0, -1))),
-        ))
         with pytest.raises(MatchingError) as err:
-            build_multigraph(data)
-        assert err.value.weight_class in ((1, 0), (0, 1))
+            build_multigraph(_two_unbalanced())
+        assert err.value.weight_class == (0, 1)
+
+    def test_two_unbalanced_classes(self):
+        # both classes are unbalanced: the index lists them in sorted order
+        # and refuses the first before it yields any bucket
+        index = _WeightIndex(_two_unbalanced())
+        assert [index.reps[c] for c in index.unbalanced] == [(0, 1), (1, 0)]
+        assert index.certified is False
+        with pytest.raises(MatchingError) as err:
+            next(index.buckets())
+        assert err.value.weight_class == (0, 1)
+        assert str(err.value) == "no congruent matching for weight class (0, 1)"
 
     def test_self_loop_fallback(self):
         data = FixedPointData(2, 2, (FixedPoint("p", ((1, 0), (-1, 0))),))
