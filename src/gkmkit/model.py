@@ -408,13 +408,13 @@ class _WeightIndex:
     def pack(self, v: Weight) -> int:
         return sum(map(lshift, v, range(0, self.width * len(v), self.width)))
 
-    def residues(self, c: int, pids: Iterable[str]) -> Dict[str, list[int]]:
-        """Packed residues mod class c of the weights at each point, in
-        order; u mod w is u mod -w, so one class serves both signs."""
-        rep, pw = self.reps[c], self.packed[c]
+    def residues(self, c: int, pids: Iterable[str], at: Mapping | None = None) -> Dict[str, list]:
+        """Packed residues mod class c of the weights at each point, in order
+        of ``at`` (the data's by default); u mod w is u mod -w for both signs."""
+        rep, pw, at = self.reps[c], self.packed[c], at or self.at
         j = pivot_index(rep)
         d = rep[j]
-        return {pid: [pu - u[j] // d * pw for u, pu in zip(*self.at[pid])]
+        return {pid: [pu - u[j] // d * pw for u, pu in zip(*at[pid])]
                 for pid in pids}
 
     @cached_property
@@ -445,19 +445,26 @@ class _WeightIndex:
 
     def edge_congruence(self, graph: Multigraph) -> ValidationReport:
         witnesses, info = [], []
+        ranked = {pid: tuple(zip(*sorted(zip(*at)))) or ((), ()) for pid, at in self.at.items()}
         for e in sorted(graph.edges, key=_EDGE_ORDER):
             edge = (e.from_id, e.to_id, e.label)
             if e.from_id not in self.at or e.to_id not in self.at:
                 witnesses.append(edge)
                 continue
-            res = self.residues(self.classes[e.label][1], (e.from_id, e.to_id))
-            left = sorted(zip(res[e.from_id], self.at[e.from_id][0]))
-            right = sorted(zip(res[e.to_id], self.at[e.to_id][0]))
-            if [r for r, _ in left] != [r for r, _ in right]:
+            res = self.residues(self.classes[e.label][1], edge[:2], ranked)
+            left, right = res[e.from_id], res[e.to_id]
+            if sorted(left) != sorted(right):
                 witnesses.append(edge)
+                continue
+            us, vs = ranked[e.from_id][0], ranked[e.to_id][0]
+            partner = dict(zip(right, vs))
+            if len(partner) < len(right):  # a repeated residue: per-residue queues
+                queues: Dict[int, list[Weight]] = {r: [] for r in partner}
+                for r, v in zip(reversed(right), reversed(vs)):
+                    queues[r].append(v)
+                info.append((edge, tuple((u, queues[r].pop()) for u, r in zip(us, left))))
             else:
-                pairs = tuple(sorted((u, v) for (_, u), (_, v) in zip(left, right)))
-                info.append((edge, pairs))
+                info.append((edge, tuple(zip(us, map(partner.__getitem__, left)))))
         return _single("edge_congruence", not witnesses, tuple(witnesses), tuple(info))
 
     def describes(self, graph: Multigraph) -> ValidationReport:
@@ -466,14 +473,15 @@ class _WeightIndex:
             witnesses.append(("vertex_set", tuple(sorted(graph.vertex_ids)),
                               tuple(p.id for p, _ in self.points)))
         else:
-            induced: Dict[str, list[Weight]] = {pid: [] for pid in graph.vertex_ids}
-            for e in graph.edges:
-                induced[e.from_id].append(e.label)
-                induced[e.to_id].append(neg(e.label))
-            for p, _ in self.points:
-                if sorted(induced[p.id]) != sorted(p.weights):
-                    witnesses.append((p.id, tuple(sorted(induced[p.id])),
-                                      tuple(sorted(p.weights))))
+            induced: Dict[str, list[Tuple[int, int]]] = {pid: [] for pid in graph.vertex_ids}
+            for e in graph.edges:  # (sign, class) ids; weights only in a witness
+                s, c = self.classes[e.label]
+                induced[e.from_id].append((s, c))
+                induced[e.to_id].append((-s, c))
+            for p, row in self.points:
+                if sorted(induced[p.id]) != sorted(row):
+                    got = sorted(tuple(s * a for a in self.reps[c]) for s, c in induced[p.id])
+                    witnesses.append((p.id, tuple(got), tuple(sorted(p.weights))))
         return combine_reports(_single("describes", not witnesses, tuple(witnesses)),
                                self.edge_congruence(graph))
 
@@ -583,10 +591,12 @@ def check_pairing(data: FixedPointData) -> ValidationReport:
 
 
 def check_weight_sum_zero(data: FixedPointData) -> ValidationReport:
-    """The sum of all weights over all points must vanish."""
-    total = tuple(map(sum, zip(*data.all_weights())))
-    ok = not any(total)
-    return _single("weight_sum", ok, () if ok else (total,))
+    """The weights must sum to zero; pairing implies it, as they sum to
+    sum_c (#w - #(-w)) w over the classes {w, -w}."""
+    index = data._index
+    total = () if index.pairing.passed else tuple(map(sum, zip(*(
+        [(len(a) - len(b)) * x for x in rep] for rep, (a, b) in zip(index.reps, index.carriers)))))
+    return _single("weight_sum", not any(total), (total,) if any(total) else ())
 
 
 def check_gkm(data: FixedPointData) -> ValidationReport:
@@ -599,9 +609,9 @@ def check_gkm(data: FixedPointData) -> ValidationReport:
 def check_edge_congruence(data: FixedPointData,
                           graph: Multigraph) -> ValidationReport:
     """Endpoint weight multisets of each edge must biject congruently mod
-    its label, that is have equal sorted residues (packed ints, see
-    ``_WeightIndex``); info zips the two.  An edge with an endpoint the
-    data lacks is a witness."""
+    its label: equal sorted residues (packed ints, see ``_WeightIndex``);
+    info pairs the sorted weights at ``from`` with those of equal residue
+    at ``to``.  An edge with an endpoint the data lacks is a witness."""
     return _graph_index(data, graph).edge_congruence(graph)
 
 

@@ -302,6 +302,31 @@ class TestBasicChecks:
         assert not rep.passed
         assert rep.results[0].witnesses == ((2,),)
 
+    def test_weight_sum_reads_the_pairing_counts(self):
+        # (#w - #(-w)) w summed over the classes, pinned where it is not zero
+        data = FixedPointData(2, 2, (FixedPoint("p", ((1, 0), (1, 0))),
+                                     FixedPoint("q", ((-1, 0), (0, 2))),
+                                     FixedPoint("r", ((0, -1), (-3, 1)))))
+        assert check_weight_sum_zero(data).results[0].witnesses == ((-2, 2),)
+        # pairing fails, yet (2) - (1) - (1) sums to zero
+        data = FixedPointData(1, 1, (FixedPoint("p", ((2,),)), FixedPoint("q", ((-1,),)),
+                                     FixedPoint("r", ((-1,),))))
+        assert not check_pairing(data).passed
+        assert check_weight_sum_zero(data).passed
+        # against the plain sum of all weights on random data
+        rng = random.Random(29)
+        verdicts = Counter()
+        for _ in range(200):
+            data, _ = _kernel_data(rng)
+            if rng.random() < 0.5:
+                data = _mirrored(data)
+            total = tuple(map(sum, zip(*data.all_weights())))
+            result = check_weight_sum_zero(data).results[0]
+            assert result.passed == (not any(total))
+            assert result.witnesses == (() if result.passed else (total,))
+            verdicts[result.passed] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 50
+
     def test_weight_sum_of_weightless_data_costs_nothing_per_rank(self):
         # with no weights nothing is summed and no witness is printed, so
         # rank 10^7 costs and reports what rank 1 does
@@ -428,6 +453,25 @@ class TestDescribes:
         mismatch = rep.result("describes")
         assert {w[0] for w in mismatch.witnesses} == {edges[0].from_id,
                                                       edges[0].to_id}
+
+    def test_witnesses_of_a_self_loop_and_a_wrong_label(self):
+        # a loop gives its point both w and -w; witnesses list weights sorted
+        entry = cpn(1)
+        loop = Multigraph(entry.graph.vertex_ids, (Edge("p0", "p0", (1,)),))
+        rep = check_describes(entry.data, loop)
+        assert rep.result("describes").witnesses == (
+            ("p0", ((-1,), (1,)), ((1,),)), ("p1", (), ((-1,),)))
+        assert rep.result("edge_congruence").info == (
+            (("p0", "p0", (1,)), (((1,), (1,)),)),)
+        # (1, 1) is not a weight class of cp2, so the graph takes its own index
+        entry = cpn(2)
+        edges = list(entry.graph.edges)
+        edges[2] = Edge(edges[2].from_id, edges[2].to_id, (1, 1))
+        rep = check_describes(entry.data, Multigraph(entry.graph.vertex_ids, tuple(edges)))
+        assert rep.result("describes").witnesses == (
+            ("p1", ((-1, 0), (1, 1)), ((-1, 0), (-1, 1))),
+            ("p2", ((-1, -1), (0, -1)), ((0, -1), (1, -1))))
+        assert rep.result("edge_congruence").witnesses == (("p1", "p2", (1, 1)),)
 
     def test_vertex_set_must_match(self):
         entry = cpn(2)
@@ -941,6 +985,29 @@ class TestPackedKernels:
             assert (result.witnesses, result.info) == _reference_edge_congruence(data, graph)
             verdicts[result.passed] += 1
         assert verdicts[True] > 50 and verdicts[False] > 50
+
+    def test_edge_congruence_matches_tuple_reference_on_known_graphs(self):
+        # the catalog graphs (fano's parallel edges, cp3_nongkm's parallel
+        # weights), seeded blow-ups and products; a residue repeats at the
+        # far end of some edges of fano, cp3_nongkm and their products
+        rng = random.Random(61)
+        entries = [conftest.Space(e.data, e.graph) for e in all_entries()]
+        spaces = list(entries)
+        for _ in range(20):
+            space = rng.choice([s for s in entries if s.data.torus_manifold])
+            for _ in range(rng.randint(1, 2)):
+                space = conftest.blow_up(space, rng.choice(space.data.ids()))
+            spaces.append(space)
+            spaces.append(conftest.product(rng.choice(entries), rng.choice(spaces)))
+        paths = Counter()
+        for data, graph in spaces:
+            result = check_edge_congruence(data, graph).results[0]
+            assert result.passed
+            assert (result.witnesses, result.info) == _reference_edge_congruence(data, graph)
+            for e in graph.edges:
+                res = [residue_mod(w, e.label) for w in data.point(e.to_id).weights]
+                paths["repeated" if len(set(res)) < len(res) else "distinct"] += 1
+        assert paths["distinct"] >= 50 and paths["repeated"] >= 50, paths
 
     def test_build_matches_tuple_reference(self):
         rng = random.Random(67)
