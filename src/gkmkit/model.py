@@ -167,7 +167,6 @@ class CheckResult:
     check: str
     passed: bool
     witnesses: Tuple = ()
-    info: Tuple = ()
     note: str = ""
 
 
@@ -190,9 +189,8 @@ def combine_reports(*reports: ValidationReport) -> ValidationReport:
     return ValidationReport(tuple(r for rep in reports for r in rep.results))
 
 
-def _single(check: str, passed: bool, witnesses: Tuple = (), info: Tuple = (),
-            note: str = "") -> ValidationReport:
-    return ValidationReport((CheckResult(check, passed, witnesses, info, note),))
+def _single(check: str, passed: bool, witnesses: Tuple = (), note: str = "") -> ValidationReport:
+    return ValidationReport((CheckResult(check, passed, witnesses, note),))
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +406,13 @@ class _WeightIndex:
     def pack(self, v: Weight) -> int:
         return sum(map(lshift, v, range(0, self.width * len(v), self.width)))
 
-    def residues(self, c: int, pids: Iterable[str], at: Mapping | None = None) -> Dict[str, list]:
-        """Packed residues mod class c of the weights at each point, in order
-        of ``at`` (the data's by default); u mod w is u mod -w for both signs."""
-        rep, pw, at = self.reps[c], self.packed[c], at or self.at
+    def residues(self, c: int, pids: Iterable[str]) -> Dict[str, list]:
+        """Packed residues mod class c of the weights at each point, in data
+        order; u mod w is u mod -w for both signs."""
+        rep, pw, at = self.reps[c], self.packed[c], self.at
         j = pivot_index(rep)
         d = rep[j]
-        return {pid: [pu - u[j] // d * pw for u, pu in zip(*at[pid])]
-                for pid in pids}
+        return {pid: [pu - u[j] // d * pw for u, pu in zip(*at[pid])] for pid in pids}
 
     @cached_property
     def pairing(self) -> ValidationReport:
@@ -444,28 +441,15 @@ class _WeightIndex:
         return _single("gkm", not witnesses, tuple(witnesses))
 
     def edge_congruence(self, graph: Multigraph) -> ValidationReport:
-        witnesses, info = [], []
-        ranked = {pid: tuple(zip(*sorted(zip(*at)))) or ((), ()) for pid, at in self.at.items()}
+        witnesses = []
         for e in sorted(graph.edges, key=_EDGE_ORDER):
             edge = (e.from_id, e.to_id, e.label)
-            if e.from_id not in self.at or e.to_id not in self.at:
-                witnesses.append(edge)
-                continue
-            res = self.residues(self.classes[e.label][1], edge[:2], ranked)
-            left, right = res[e.from_id], res[e.to_id]
-            if sorted(left) != sorted(right):
-                witnesses.append(edge)
-                continue
-            us, vs = ranked[e.from_id][0], ranked[e.to_id][0]
-            partner = dict(zip(right, vs))
-            if len(partner) < len(right):  # a repeated residue: per-residue queues
-                queues: Dict[int, list[Weight]] = {r: [] for r in partner}
-                for r, v in zip(reversed(right), reversed(vs)):
-                    queues[r].append(v)
-                info.append((edge, tuple((u, queues[r].pop()) for u, r in zip(us, left))))
-            else:
-                info.append((edge, tuple(zip(us, map(partner.__getitem__, left)))))
-        return _single("edge_congruence", not witnesses, tuple(witnesses), tuple(info))
+            if e.from_id in self.at and e.to_id in self.at:
+                res = self.residues(self.classes[e.label][1], edge[:2])
+                if sorted(res[e.from_id]) == sorted(res[e.to_id]):
+                    continue
+            witnesses.append(edge)
+        return _single("edge_congruence", not witnesses, tuple(witnesses))
 
     def describes(self, graph: Multigraph) -> ValidationReport:
         witnesses = []
@@ -609,9 +593,8 @@ def check_gkm(data: FixedPointData) -> ValidationReport:
 def check_edge_congruence(data: FixedPointData,
                           graph: Multigraph) -> ValidationReport:
     """Endpoint weight multisets of each edge must biject congruently mod
-    its label: equal sorted residues (packed ints, see ``_WeightIndex``);
-    info pairs the sorted weights at ``from`` with those of equal residue
-    at ``to``.  An edge with an endpoint the data lacks is a witness."""
+    its label: equal sorted residues (packed ints, see ``_WeightIndex``).
+    An edge with an endpoint the data lacks is a witness."""
     return _graph_index(data, graph).edge_congruence(graph)
 
 

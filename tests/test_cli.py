@@ -70,6 +70,29 @@ SKEW_DOC = """{"torus_rank": 2, "half_dim": 2, "fixed_points": [
  {"id": "p1", "weights": [[1,-2],[1,2]]},
  {"id": "p2", "weights": [[1,1],[-2,1]]}]}"""
 
+# ``example s6_blowup --a 1,1 --b 0,1``: the blow-up of the six-sphere
+# action with weights (1,1) and (0,1), as it prints
+S6_BLOWUP_11_01 = """{
+  "torus_rank": 2,
+  "half_dim": 3,
+  "torus_manifold": false,
+  "fixed_points": [
+    {"id": "p1", "weights": [[-2,-3],[-1,0],[1,1]]},
+    {"id": "p2", "weights": [[-1,-2],[1,3],[2,3]]},
+    {"id": "p3", "weights": [[-1,-3],[0,1],[1,0]]},
+    {"id": "q", "weights": [[-1,-1],[0,-1],[1,2]]}
+  ],
+  "edges": [
+    {"from": "p1", "to": "p3", "label": [-1,0]},
+    {"from": "p1", "to": "q", "label": [1,1]},
+    {"from": "p2", "to": "p1", "label": [2,3]},
+    {"from": "p2", "to": "p3", "label": [1,3]},
+    {"from": "p3", "to": "q", "label": [0,1]},
+    {"from": "q", "to": "p2", "label": [1,2]}
+  ]
+}
+"""
+
 
 class TestGenus:
     def test_s6_text(self, capsys, tmp_path):
@@ -160,6 +183,11 @@ class TestChern:
     def test_partition_syntax(self, capsys, cp2_file):
         code, _, _ = run(capsys, "chern", cp2_file, "--partition", "x")
         assert code == 64
+
+    def test_single_partition_json_is_one_line(self, capsys, cp2_file):
+        code, out, err = run(capsys, "chern", cp2_file, "--partition", "1,1", "--json")
+        assert (code, err) == (0, "")
+        assert out == '{"partition": [1, 1], "value": 9, "mode": "generic"}\n'
 
     def test_mode_flag_in_json(self, capsys, cp2_file):
         code, out, _ = run(capsys, "chern", cp2_file, "--json", "--mode", "expanded")
@@ -362,6 +390,11 @@ class TestExample:
         data, _ = parse(out)
         assert (1, 2) in data.point("p").weights
 
+    def test_s6_blowup_parameters(self, capsys):
+        code, out, err = run(capsys, "example", "s6_blowup", "--a", "1,1", "--b", "0,1")
+        assert (code, err) == (0, "")
+        assert out == S6_BLOWUP_11_01
+
     def test_bad_variant(self, capsys):
         code, _, _ = run(capsys, "example", "fano", "--variant", "V9")
         assert code == 3
@@ -445,6 +478,25 @@ class TestUsageAndIo:
         code, out, err = run(capsys, *(a.format(file=cp2_file) for a in argv))
         assert code == 64
         assert err == "error: not an integer vector: ''\n" and out == ""
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "top level must be an object"),
+        ({"fixed_points": []}, "fixed_points must be a non-empty list"),
+        ({"fixed_points": "p"}, "fixed_points must be a non-empty list"),
+        ({"edges": "x"}, "edges must be a list"),
+        ({"edges": [{"from": "p", "to": "q"}]},
+         "edge must have exactly from, to, label: {'from': 'p', 'to': 'q'}"),
+    ], ids=["top_level_list", "no_points", "points_not_a_list", "edges_not_a_list",
+            "edge_without_label"])
+    def test_parse_error_texts(self, capsys, tmp_path, doc, message):
+        if isinstance(doc, dict):
+            doc = {"torus_rank": 1, "half_dim": 1, "fixed_points": [
+                {"id": "p", "weights": [[1]]}, {"id": "q", "weights": [[-1]]}], **doc}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (4, "")
+        assert err == f"error: cannot parse {path}: {message}\n"
 
     def test_non_basis_point_exits_4(self, capsys, tmp_path):
         doc = {"torus_rank": 2, "half_dim": 2, "torus_manifold": True,

@@ -162,6 +162,18 @@ class TestIntegrate:
             integrate(data, {"p": {(1, 0, 0): Fraction(1)}})
         assert integrate(data, {"p": poly_const(3, 5)}) == 5
 
+    @pytest.mark.parametrize("nums, value", [
+        ({"p0": {(0,): 1, (1,): 1}, "p1": {(0,): 1, (1,): 1}}, 0),
+        ({"p0": {(0,): 1, (1,): 2}, "p1": {(0,): 1, (1,): -1}}, 3),
+    ], ids=["same", "differing"])
+    def test_numerator_of_mixed_degrees(self, nums, value):
+        # a degree-0 term makes the table add an int to a packed polynomial;
+        # on cp1, (1 + 2t)/t + (1 - t)/(-t) = 3
+        data = cpn(1).data
+        assert integrate(data, nums) == value
+        total = localize_sum(data, nums)
+        assert not total.denominator and poly_const_value(total.numerator) == value
+
     def test_exponents_of_the_wrong_length(self):
         # too long and too short: neither may be cut or padded to rank 2
         data = cpn(2).data

@@ -382,8 +382,6 @@ class TestCongruence:
         for entry in all_entries():
             rep = check_edge_congruence(entry.data, entry.graph)
             assert rep.passed, (entry.name, rep)
-            # each passing edge records its matching
-            assert len(rep.results[0].info) == len(entry.graph.edges)
 
     def test_edge_congruence_failure(self):
         data = FixedPointData(2, 2, (
@@ -415,10 +413,6 @@ class TestCongruence:
             assert result.passed == (not oracle)
             passed += result.passed
             failed += not result.passed
-            for (u, v, label), pairs in result.info:
-                assert all(congruent_mod(a, b, label) for a, b in pairs)
-                assert sorted(a for a, _ in pairs) == sorted(data.point(u).weights)
-                assert sorted(b for _, b in pairs) == sorted(data.point(v).weights)
         assert passed > 50 and failed > 50  # both verdicts exercised
 
     @pytest.mark.parametrize("label", [(0, 0, 1), (1, 0, 0), (1,)],
@@ -461,8 +455,6 @@ class TestDescribes:
         rep = check_describes(entry.data, loop)
         assert rep.result("describes").witnesses == (
             ("p0", ((-1,), (1,)), ((1,),)), ("p1", (), ((-1,),)))
-        assert rep.result("edge_congruence").info == (
-            (("p0", "p0", (1,)), (((1,), (1,)),)),)
         # (1, 1) is not a weight class of cp2, so the graph takes its own index
         entry = cpn(2)
         edges = list(entry.graph.edges)
@@ -888,17 +880,11 @@ def _mirrored(data):
 
 
 def _reference_edge_congruence(data, graph):
-    """check_edge_congruence keyed on residue_mod tuples: (witnesses, info)."""
-    witnesses, info = [], []
-    for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label)):
-        left = sorted((residue_mod(w, e.label), w) for w in data.point(e.from_id).weights)
-        right = sorted((residue_mod(w, e.label), w) for w in data.point(e.to_id).weights)
-        if [r for r, _ in left] != [r for r, _ in right]:
-            witnesses.append((e.from_id, e.to_id, e.label))
-        else:
-            info.append(((e.from_id, e.to_id, e.label),
-                         tuple(sorted((u, v) for (_, u), (_, v) in zip(left, right)))))
-    return tuple(witnesses), tuple(info)
+    """check_edge_congruence keyed on residue_mod tuples: its witnesses."""
+    return tuple((e.from_id, e.to_id, e.label)
+                 for e in sorted(graph.edges, key=lambda e: (e.from_id, e.to_id, e.label))
+                 if sorted(residue_mod(w, e.label) for w in data.point(e.from_id).weights)
+                 != sorted(residue_mod(w, e.label) for w in data.point(e.to_id).weights))
 
 
 def _reference_build(data):
@@ -982,7 +968,7 @@ class TestPackedKernels:
                 edges.append(Edge(u, v, lab))
             graph = Multigraph(tuple(sorted(ids)), tuple(edges))
             result = check_edge_congruence(data, graph).results[0]
-            assert (result.witnesses, result.info) == _reference_edge_congruence(data, graph)
+            assert result.witnesses == _reference_edge_congruence(data, graph)
             verdicts[result.passed] += 1
         assert verdicts[True] > 50 and verdicts[False] > 50
 
@@ -1003,7 +989,7 @@ class TestPackedKernels:
         for data, graph in spaces:
             result = check_edge_congruence(data, graph).results[0]
             assert result.passed
-            assert (result.witnesses, result.info) == _reference_edge_congruence(data, graph)
+            assert result.witnesses == _reference_edge_congruence(data, graph)
             for e in graph.edges:
                 res = [residue_mod(w, e.label) for w in data.point(e.to_id).weights]
                 paths["repeated" if len(set(res)) < len(res) else "distinct"] += 1

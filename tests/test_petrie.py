@@ -261,6 +261,12 @@ class TestGraphConsistency:
         assert report.verdict == "no-match"
         assert "self-loop" in report.witness
 
+    def test_vertex_set_must_be_the_points(self):
+        graph = Multigraph(("p0", "p1"), ())
+        report = petrie_verify(cpn(2).data, graph)
+        assert (report.verdict, report.graph_consistent) == ("no-match", False)
+        assert report.witness == "graph vertex set differs from the fixed point set"
+
 
 class TestRelationsAndSimplex:
     def test_cp2_relations(self):
