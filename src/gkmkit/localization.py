@@ -57,7 +57,10 @@ class InconsistencyError(ValueError):
 
 def partitions(m: int) -> Tuple[Partition, ...]:
     """Weakly decreasing integer partitions of m in decreasing lexicographic
-    order; partitions(0) is ((),)."""
+    order; partitions(0) is ((),).  Their number p(m) grows like
+    e^(pi sqrt(2m/3)) / (4m sqrt 3), to 37338 at m = 40.  Every consumer
+    (chern_report, lower-degree vanishing, the CLI's tables) reads them
+    all, so none costs less than that count."""
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
     out, part = [], [m] if m else []

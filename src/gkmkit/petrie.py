@@ -9,12 +9,12 @@ is b carries {-b} + {b' - b : b' != b}, and these weights sum to
 S - (n+1) b.  So every other point's base weight is read off its own
 weight sum, the assignment is unique when it exists, and one pass over
 the points checks each multiset against its pattern.  On success the
-report carries the recovered character basis, the lattice-simplex
-realization, the divisor relations of the induced complete graph, and
-the invariant table.  The paper's Petrie-type theorem gives that table
-in closed form: matched data is linear CP^n in the recovered basis, so
-chi_y has all n + 1 coefficients one and the total Chern class is
-(1 + x)^(n+1) with x^n integrating to one.
+report carries the recovered character basis and the lattice-simplex
+realization, from which ``gkm_relations`` reads the divisor relations of
+the induced complete graph.  The invariants follow from a match, which by
+the paper's Petrie-type theorem is linear CP^n in the recovered basis:
+``model_invariants`` gives chi_y with all n + 1 coefficients one and the
+total Chern class (1 + x)^(n+1), x^n integrating to one.
 """
 
 from __future__ import annotations
@@ -42,17 +42,15 @@ class PetrieReport:
     basis: Tuple[Weight, ...] | None = None
     relabeling: Dict[str, int] | None = None
     simplex: Tuple[Weight, ...] | None = None
-    invariants: Dict[str, object] | None = None
     witness: str | None = None
     graph_consistent: bool | None = None
-    gl_normalized_equal: bool | None = None
 
     @property
     def matched(self) -> bool:
         return self.verdict == "match"
 
 
-def _model_invariants(n: int) -> Dict[str, object]:
+def model_invariants(n: int) -> Dict[str, object]:
     """Invariant table of linear CP^n, which every match shares.
 
     chi_y has all coefficients one, so euler = n + 1, todd = 1 and the
@@ -121,8 +119,8 @@ def _precondition_witness(data: FixedPointData) -> str | None:
     return None
 
 
-def petrie_verify(data: FixedPointData, graph: Multigraph | None = None,
-                  up_to_gl: bool = False) -> PetrieReport:
+def petrie_verify(data: FixedPointData,
+                  graph: Multigraph | None = None) -> PetrieReport:
     """Decide whether minimal data agrees with a linear projective model."""
     reason = _precondition_witness(data)
     if reason is not None:
@@ -150,10 +148,7 @@ def petrie_verify(data: FixedPointData, graph: Multigraph | None = None,
 
     return PetrieReport(
         "match", base_point=base_id, basis=basis, relabeling=relabeling,
-        simplex=simplex, invariants=_model_invariants(data.half_dim),
-        graph_consistent=graph_consistent,
-        # the inverse basis maps matched data onto the standard model
-        gl_normalized_equal=True if up_to_gl else None)
+        simplex=simplex, graph_consistent=graph_consistent)
 
 
 def _graph_consistent(graph: Multigraph,

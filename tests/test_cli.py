@@ -245,6 +245,29 @@ class TestPetrie:
         assert "base point: p0" in out
         assert "c1^3 = 64" in out
 
+    def test_match_full_text_with_gl(self, capsys, cp3_file):
+        code, out, err = run(capsys, "petrie", cp3_file, "--up-to-gl")
+        assert (code, err) == (0, "")
+        assert out == "".join(line + "\n" for line in [
+            "verdict: match",
+            "base point: p0",
+            "basis: (1,0,0), (0,1,0), (0,0,1)",
+            "simplex: (0,0,0), (1,0,0), (0,1,0), (0,0,1)",
+            "relation: (p0, p1) divisor (1,0,0)",
+            "relation: (p0, p2) divisor (0,1,0)",
+            "relation: (p0, p3) divisor (0,0,1)",
+            "relation: (p1, p2) divisor (-1,1,0)",
+            "relation: (p1, p3) divisor (-1,0,1)",
+            "relation: (p2, p3) divisor (0,-1,1)",
+            "chi_y coefficients: [1, 1, 1, 1]",
+            "euler = 4, todd = 1, signature = 0",
+            "c1^3 = 64",
+            "c2*c1 = 24",
+            "c3 = 4",
+            "graph consistent: True",
+            "gl normalized equal: True",
+        ])
+
     def test_precondition(self, capsys, tmp_path):
         path = tmp_path / "s6.json"
         assert main(["example", "s6", "--out", str(path)]) == 0
@@ -252,6 +275,8 @@ class TestPetrie:
         code, out, _ = run(capsys, "petrie", str(path))
         assert code == 3
         assert "verdict: precondition-failed" in out
+        assert out == ("verdict: precondition-failed\n"
+                       "witness: data is not flagged as a torus manifold\n")
 
     def test_no_match(self, capsys, tmp_path, cp2_file):
         data, _ = parse(open(cp2_file).read())
@@ -264,6 +289,8 @@ class TestPetrie:
         code, out, _ = run(capsys, "petrie", str(bad))
         assert code == 2
         assert "verdict: no-match" in out
+        assert out == ("verdict: no-match\n"
+                       "witness: weights at p2 do not match the model pattern for base p0\n")
 
     def test_json_with_gl(self, capsys, cp2_file):
         code, out, _ = run(capsys, "petrie", cp2_file, "--json", "--up-to-gl")
@@ -274,6 +301,21 @@ class TestPetrie:
         assert doc["simplex"] == [[0, 0], [1, 0], [0, 1]]
         assert doc["gl_normalized_equal"] is True
         assert {"partition": [1, 1], "value": 9} in doc["invariants"]["chern"]
+        expected = {
+            "verdict": "match",
+            "base_point": "p0",
+            "basis": [[1, 0], [0, 1]],
+            "relabeling": {"p0": 0, "p1": 1, "p2": 2},
+            "simplex": [[0, 0], [1, 0], [0, 1]],
+            "invariants": {
+                "chi_y": [1, 1, 1], "euler": 3, "todd": 1, "signature": 1,
+                "chern": [{"partition": [1, 1], "value": 9},
+                          {"partition": [2], "value": 3}]},
+            "witness": None,
+            "graph_consistent": True,
+            "gl_normalized_equal": True,
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
 
 
     def test_one_lattice_check_per_point(self, capsys, tmp_path, monkeypatch):
@@ -389,6 +431,11 @@ class TestExample:
         assert code == 0
         data, _ = parse(out)
         assert (1, 2) in data.point("p").weights
+
+    def test_s6_parameter_of_wrong_length(self, capsys):
+        code, out, err = run(capsys, "example", "s6", "--a", "1,2,3")
+        assert (code, out) == (3, "")
+        assert err == "error: parameters must be vectors of length 2\n"
 
     def test_s6_blowup_parameters(self, capsys):
         code, out, err = run(capsys, "example", "s6_blowup", "--a", "1,1", "--b", "0,1")

@@ -249,6 +249,20 @@ class TestShapeRules:
                 parse(json.dumps(case))
 
 
+class TestGraphGuards:
+    def test_zero_edge_label(self):
+        with pytest.raises(ValueError, match="^zero edge label$"):
+            Edge("p0", "p1", (0, 0))
+
+    def test_edge_to_a_non_vertex(self):
+        with pytest.raises(ValueError, match="^edge endpoint not a vertex: p0->q$"):
+            Multigraph(("p0", "p1"), (Edge("p0", "q", (1, 0)),))
+
+    def test_unknown_check_name(self):
+        with pytest.raises(KeyError, match="^'nope'$"):
+            validate_all(cpn(2).data).result("nope")
+
+
 class TestBasicChecks:
     def test_pairing_passes_on_catalog(self):
         for entry in all_entries():
@@ -639,6 +653,28 @@ class TestBuildMultigraph:
 
 
 class TestValidateAll:
+    def test_split_memo_leaves_verdicts_unchanged(self, monkeypatch):
+        # parsing torus-manifold data from the certificate bound on walks
+        # the lattice, which splits classes that the balance check meets
+        # again through the split memo; dropping the flag must change nothing
+        rng = random.Random(1012)
+        moved = transform(cpn(12).data, random_unimodular(rng, 12))
+        flagged = shuffled(rng, random_relabel(rng, moved, prefix="d")[0])
+        assert flagged.torus_manifold and flagged.half_dim >= model._CERTIFY_FROM
+        hits = []
+        split = _WeightIndex.split
+        monkeypatch.setattr(_WeightIndex, "split",
+                            lambda self, c: hits.append(c in self.splits) or split(self, c))
+
+        def run(torus_manifold):
+            data, _ = parse(serialize(FixedPointData(12, 12, flagged.points,
+                                                     torus_manifold)))
+            return validate_all(data), build_multigraph(data)
+
+        built = run(True)
+        assert any(hits)
+        assert run(False) == built
+
     def test_with_graph(self):
         entry = cp3_nongkm()
         rep = validate_all(entry.data, entry.graph)

@@ -22,7 +22,8 @@ from gkmkit import (
     transform,
     triangle_identity,
 )
-from gkmkit import weights
+from gkmkit import localization, petrie, weights
+from gkmkit.petrie import model_invariants
 from gkmkit.weights import apply_matrix, frac_add, neg, parallel, poly_const, sub
 
 from conftest import mutate_one_weight, random_relabel, random_unimodular, shuffled
@@ -105,7 +106,7 @@ class TestVerifyOnModel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_identity_model_matches(self, n):
         entry = cpn(n)
-        report = petrie_verify(entry.data, entry.graph, up_to_gl=True)
+        report = petrie_verify(entry.data, entry.graph)
         assert report.matched
         assert report.verdict == "match"
         assert report.base_point == "p0"
@@ -115,11 +116,11 @@ class TestVerifyOnModel:
         assert report.relabeling == {f"p{i}": i for i in range(n + 1)}
         assert report.simplex == ((0,) * n,) + expected_basis
         assert report.graph_consistent is True
-        assert report.gl_normalized_equal is True
 
     def test_invariant_table(self):
         report = petrie_verify(cpn(2).data)
-        inv = report.invariants
+        assert report.matched
+        inv = model_invariants(len(report.basis))
         assert inv["chi_y"] == (1, 1, 1)
         assert inv["euler"] == 3
         assert inv["todd"] == 1
@@ -130,7 +131,6 @@ class TestVerifyOnModel:
     def test_graph_defaults_to_unchecked(self):
         report = petrie_verify(cpn(2).data)
         assert report.graph_consistent is None
-        assert report.gl_normalized_equal is None
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_transformed_relabeled_shuffled_roundtrip(self, n):
@@ -142,9 +142,8 @@ class TestVerifyOnModel:
             moved = transform(cpn(n).data, rows)
             renamed, mapping = random_relabel(rng, moved, prefix="q")
             scrambled = shuffled(rng, renamed)
-            report = petrie_verify(scrambled, up_to_gl=True)
+            report = petrie_verify(scrambled)
             assert report.matched
-            assert report.gl_normalized_equal is True
             assert report.base_point == min(scrambled.ids())
             # the recovered basis is the transformed character differences
             # taken from whichever original point became the base
@@ -154,7 +153,7 @@ class TestVerifyOnModel:
                 apply_matrix(rows, sub(chars[j], chars[m]))
                 for j in range(n + 1) if j != m)
             assert sorted(report.basis) == expect
-            assert report.invariants["chi_y"] == (1,) * (n + 1)
+            assert model_invariants(len(report.basis))["chi_y"] == (1,) * (n + 1)
 
 
 class TestVerifyRejections:
@@ -294,7 +293,9 @@ class TestRelationsAndSimplex:
 
     def test_chern_table_matches_direct_computation(self):
         report = petrie_verify(cpn(3).data)
-        assert report.invariants["chern"] == chern_report(cpn(3).data).values
+        assert report.matched
+        assert (model_invariants(len(report.basis))["chern"]
+                == chern_report(cpn(3).data).values)
 
     def test_relations_cover_every_pair_once(self):
         rng = random.Random(31)
@@ -313,7 +314,8 @@ class TestRelationsAndSimplex:
 
 
 class TestClosedFormInvariants:
-    """A match reports linear CP^n's invariants in closed form.
+    """A match is linear CP^n, whose invariants model_invariants states in
+    closed form.
 
     chi_y and chern_report, run on the data itself, are the oracle.
     """
@@ -324,7 +326,7 @@ class TestClosedFormInvariants:
         assert report.matched
         genus = chi_y(data)
         chern = dict(sorted(chern_report(data).values.items()))
-        inv = report.invariants
+        inv = model_invariants(len(report.basis))
         assert list(inv.items()) == [
             ("chi_y", genus.coeffs), ("euler", genus.euler), ("todd", genus.todd),
             ("signature", genus.signature), ("chern", chern)]
@@ -335,6 +337,17 @@ class TestClosedFormInvariants:
         assert len(entries) == 4
         for entry in entries:
             self.assert_oracle(entry.data)
+
+    def test_verdict_builds_no_partition_table(self, monkeypatch):
+        # p(60) = 966467: the table follows from a match, it is not part
+        # of deciding one
+        data = cpn(60).data
+        calls = []
+        for module in (petrie, localization):
+            monkeypatch.setattr(module, "partitions",
+                                lambda n, real=module.partitions: calls.append(n) or real(n))
+        assert petrie_verify(data).verdict == "match"
+        assert calls == []
 
     def test_disguised_cpn(self):
         rng = random.Random(1700)
@@ -380,7 +393,7 @@ class TestAdversarialInput:
         rng = random.Random(1212)
         data = shuffled(rng, ambiguous(random_unimodular(rng, 12)))
         start = time.perf_counter()
-        report = petrie_verify(data, up_to_gl=True)
+        report = petrie_verify(data)
         elapsed = time.perf_counter() - start
         assert report.verdict == "no-match"
         assert report.base_point == "base"
@@ -420,8 +433,8 @@ class TestGlNormalization:
             moved = transform(cpn(n).data, random_unimodular(rng, n))
             renamed, _ = random_relabel(rng, moved, prefix="g")
             data = shuffled(rng, renamed)
-            report = petrie_verify(data, up_to_gl=True)
-            assert report.matched and report.gl_normalized_equal is True
+            report = petrie_verify(data)
+            assert report.matched
             columns = tuple(tuple(b[i] for b in report.basis) for i in range(n))
             model = transform(cpn(n).data, columns)
             back = relabel(data, {pid: f"p{idx}"

@@ -20,11 +20,13 @@ from gkmkit.weights import (
     is_unimodular_basis,
     linear_form,
     parallel,
+    pivot_index,
     poly_add,
     poly_const,
     poly_div_linear,
     poly_mul,
     poly_total_degree,
+    sub,
 )
 
 from conftest import random_unimodular
@@ -48,8 +50,18 @@ class TestVectorOps:
         assert canonicalize((4,)) == (1, (4,))
 
     def test_canonicalize_rejects_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^zero weight$"):
             canonicalize((0, 0))
+
+    def test_pivot_index_rejects_zero(self):
+        assert pivot_index((0, 0, 3)) == 2
+        with pytest.raises(ValueError, match="^zero weight$"):
+            pivot_index((0, 0))
+
+    @pytest.mark.parametrize("op", [sub, parallel])
+    def test_dimension_mismatch(self, op):
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+            op((1, 2), (1, 2, 3))
 
     def test_parallel(self):
         assert parallel((1, 0), (2, 0))
@@ -69,6 +81,11 @@ class TestDeterminant:
     def test_three_by_three(self):
         assert det(((1, 0, 0), (1, 1, 0), (2, 1, 1))) == 1
         assert det(((0, 1, 0), (1, 0, 0), (0, 0, 1))) == -1
+
+    def test_non_square(self):
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            det(((1, 0), (0, 1), (1, 1)))
+        assert not is_unimodular_basis(((1, 0, 0), (0, 1, 0)))
 
     def test_unimodular_basis(self):
         assert is_unimodular_basis(((1, 0), (0, 1)))
@@ -172,6 +189,14 @@ class TestGenericPoints:
         assert next(generic_points([(3,), (-2,)])) == (1,)
         it = generic_points([(3,)], 1)
         assert [next(it) for _ in range(3)] == [(1,), (2,), (3,)]
+
+    def test_rank_must_be_positive(self):
+        with pytest.raises(ValueError, match="^rank must be positive$"):
+            next(generic_points([], 0))
+
+    def test_forms_of_mixed_length(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
+            next(generic_points([(1, 0), (1, 0, 1)]))
 
     def test_empty_forms_need_rank(self):
         assert next(generic_points([], 2)) == (1, 2)
@@ -385,6 +410,7 @@ class TestFractions:
         assert frac_equal(f, g)
         assert f == g
         assert not frac_equal(f, fraction(one, ((0, 1),)))
+        assert f.__eq__(one) is NotImplemented and f != one
 
     @settings(max_examples=40, deadline=None)
     @given(_frac_strategy(), _frac_strategy())
